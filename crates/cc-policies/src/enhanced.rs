@@ -115,6 +115,11 @@ impl<P: Scheduler> Scheduler for Enhanced<P> {
     fn eviction_rank(&mut self, instance: &WarmInstance, view: &ClusterView<'_>) -> f64 {
         self.inner.eviction_rank(instance, view)
     }
+
+    fn evicts_in_admission_order(&self) -> bool {
+        // `eviction_rank` forwards unchanged, so the declaration does too.
+        self.inner.evicts_in_admission_order()
+    }
 }
 
 #[cfg(test)]

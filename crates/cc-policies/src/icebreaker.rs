@@ -71,6 +71,11 @@ impl Scheduler for IceBreaker {
         "icebreaker"
     }
 
+    fn evicts_in_admission_order(&self) -> bool {
+        // Default LRU `eviction_rank`.
+        true
+    }
+
     fn on_arrival(&mut self, function: FunctionId, now: SimTime) {
         *self.pending_counts.entry(function).or_insert(0.0) += 1.0;
         self.last_arrival.insert(function, now);

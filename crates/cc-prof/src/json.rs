@@ -353,14 +353,27 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parses a self-profile JSON document produced by [`to_json`].
-pub fn from_json(text: &str) -> Result<SelfProfile, String> {
+/// Parses one complete JSON document (a single value, nothing after it).
+fn parse_document(text: &str) -> Result<Value, String> {
     let mut parser = Parser::new(text);
     let root = parser.value()?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
         return Err(parser.err("trailing content"));
     }
+    Ok(root)
+}
+
+/// Checks that `text` is one well-formed JSON document, of any shape —
+/// e.g. a hand-maintained benchmark record. The error names the byte
+/// offset of the first problem.
+pub fn validate_json(text: &str) -> Result<(), String> {
+    parse_document(text).map(|_| ())
+}
+
+/// Parses a self-profile JSON document produced by [`to_json`].
+pub fn from_json(text: &str) -> Result<SelfProfile, String> {
+    let root = parse_document(text)?;
     let version = root
         .get("cc_prof")
         .and_then(Value::as_u64)
@@ -541,6 +554,17 @@ mod tests {
         assert_eq!(parsed.label, "fwd-compat");
         assert_eq!(parsed.phases.len(), 1, "unknown phase skipped");
         assert!(parsed.counters.is_empty(), "unknown counter skipped");
+    }
+
+    #[test]
+    fn validate_accepts_any_document_and_rejects_malformed_ones() {
+        assert!(validate_json(r#"{"a": [1, -2.5e3, true, null], "b": {"c": "\u00e9"}}"#).is_ok());
+        assert!(validate_json("[]").is_ok());
+        // An object left open before the next key: the shape a hand edit
+        // of a nested record tends to break.
+        let unterminated = "{\"outer\": {\"inner\": 1\n \"next\": 2}}";
+        assert!(validate_json(unterminated).is_err());
+        assert!(validate_json("{} {}").is_err(), "trailing content");
     }
 
     #[test]

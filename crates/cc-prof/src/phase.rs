@@ -134,7 +134,8 @@ pub enum PerfCounter {
     CandidateProbes,
     /// Nodes examined during cold-placement walks (slow path only).
     NodeScanProbes,
-    /// Instances ranked by `eviction_rank` inside `make_room`.
+    /// Instances ranked by `eviction_rank` inside `make_room`, or evicted
+    /// on its admission-order path.
     EvictionsRanked,
     /// Expirations drained from the calendar.
     ExpiryDrained,

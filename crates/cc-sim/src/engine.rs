@@ -1,7 +1,7 @@
 //! The discrete-event simulation engine.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::time::{Duration, Instant};
 
 use cc_metrics::ServiceStats;
@@ -281,9 +281,12 @@ struct Engine<'a, Src: ArrivalSource, S: EventSink, P: Profiler> {
     now: SimTime,
     nodes: Vec<NodeState>,
     pool: WarmPool,
-    /// Per architecture: all nodes ordered by [`NodeOrderKey`], kept in
-    /// sync with every node-state mutation through [`Engine::mutate_node`].
-    node_order: [BTreeSet<NodeOrderKey>; 2],
+    /// Per architecture: all nodes' keys as a sorted vector in
+    /// [`NodeOrderKey`] order, kept in sync with every node-state mutation
+    /// through [`Engine::mutate_node`]. A cluster has tens to hundreds of
+    /// nodes, so re-sorting one key is a short in-place shift that never
+    /// allocates.
+    node_order: [Vec<NodeOrderKey>; 2],
     ledger: BudgetLedger,
     /// Queued invocations as `(arrival index, invocation)`: the invocation
     /// rides along so retries never need to re-address the source.
@@ -348,9 +351,12 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             Some(rate) => BudgetLedger::budgeted(rate, config.interval),
             None => BudgetLedger::unlimited(config.interval),
         };
-        let mut node_order: [BTreeSet<NodeOrderKey>; 2] = [BTreeSet::new(), BTreeSet::new()];
+        let mut node_order: [Vec<NodeOrderKey>; 2] = [Vec::new(), Vec::new()];
         for node in &nodes {
-            node_order[node.arch.index()].insert(node_order_key(node));
+            node_order[node.arch.index()].push(node_order_key(node));
+        }
+        for order in &mut node_order {
+            order.sort_unstable();
         }
         let pool = WarmPool::new(workload.len(), nodes.len());
         let len_hint = if collect_records {
@@ -438,16 +444,28 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
     }
 
     /// Mutates one node's state while keeping the per-arch placement index
-    /// in sync: the node's order key is pulled before the mutation and
-    /// reinserted after.
+    /// in sync: the node's order key is located before the mutation, and
+    /// after it the keys between the old and the new position shift by
+    /// one to make room for the new key.
     fn mutate_node<R>(&mut self, node: NodeId, f: impl FnOnce(&mut NodeState) -> R) -> R {
         let state = &self.nodes[node.index()];
-        let order = &mut self.node_order[state.arch.index()];
-        let removed = order.remove(&node_order_key(state));
-        debug_assert!(removed, "placement index out of sync with node state");
+        let arch = state.arch.index();
+        let old = self.node_order[arch]
+            .binary_search(&node_order_key(state))
+            .expect("placement index out of sync with node state");
         let result = f(&mut self.nodes[node.index()]);
-        let state = &self.nodes[node.index()];
-        self.node_order[state.arch.index()].insert(node_order_key(state));
+        let key = node_order_key(&self.nodes[node.index()]);
+        let order = &mut self.node_order[arch];
+        // Keys are unique (the node id breaks ties), so `target` counts the
+        // other keys below the new one, plus the old key if it was below.
+        let target = order.partition_point(|k| *k < key);
+        if target > old {
+            order[old..target].rotate_left(1);
+            order[target - 1] = key;
+        } else {
+            order[target..=old].rotate_right(1);
+            order[target] = key;
+        }
         result
     }
 
@@ -710,7 +728,7 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
         };
 
         for arch in [preferred, preferred.other()] {
-            let Some(&(_, _, first)) = self.node_order[arch.index()].iter().next() else {
+            let Some(&(_, _, first)) = self.node_order[arch.index()].first() else {
                 continue;
             };
             if self.nodes[first.index()].free_cores() == 0 {
@@ -764,10 +782,13 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
     ///
     /// Only `node`'s own residents are examined — the node-state
     /// `warm_memory` counter answers the "would evicting everything
-    /// suffice?" question in O(1), and the pool's residency index supplies
-    /// the victims without a cluster-wide scan. Victims are ranked in
-    /// admission order because stateful policies (e.g. FaasCache's
-    /// greedy-dual clock) observe the ranking call order.
+    /// suffice?" question in O(1), and the pool's residency list supplies
+    /// the victims without a cluster-wide scan. A policy whose rank is the
+    /// admission order ([`Scheduler::evicts_in_admission_order`]) evicts
+    /// straight off the node's FIFO, stopping once the deficit is freed;
+    /// any other policy ranks every resident, in admission order because
+    /// stateful policies (e.g. FaasCache's greedy-dual clock) observe the
+    /// ranking call order, and evicts in `(rank, seq)` order.
     fn make_room(
         &mut self,
         node: NodeId,
@@ -796,6 +817,10 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             return false;
         }
         let _span = P::scope(Phase::PoolEvict);
+        if policy.evicts_in_admission_order() {
+            self.evict_oldest(node, deficit, exclude);
+            return true;
+        }
         let mut ranked = std::mem::take(&mut self.scratch_ranked);
         ranked.clear();
         {
@@ -823,16 +848,44 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             if freed >= deficit {
                 break;
             }
-            let inst = self.pool.get(id).expect("ranked victim must be live");
-            freed += inst.memory;
-            let refund = inst.refundable_at(self.now);
-            self.credit(refund);
-            self.remove_instance(id, ReleaseReason::Evicted);
-            self.evictions += 1;
+            freed += self.evict(id);
         }
         ranked.clear();
         self.scratch_ranked = ranked;
         true
+    }
+
+    /// [`Engine::make_room`]'s admission-order path: evicts `node`'s
+    /// residents oldest first (skipping `exclude`) until `deficit` is
+    /// freed. The caller has checked that the evictable memory suffices.
+    fn evict_oldest(&mut self, node: NodeId, deficit: MemoryMb, exclude: Option<WarmId>) {
+        let mut freed = MemoryMb::ZERO;
+        let mut evicted = 0u64;
+        while freed < deficit {
+            // The oldest resident, or the one after it if it is excluded.
+            let id = self
+                .pool
+                .residents_of(node)
+                .find(|&id| Some(id) != exclude)
+                .expect("evictable memory covers the deficit");
+            freed += self.evict(id);
+            evicted += 1;
+        }
+        if P::ENABLED {
+            P::add(PerfCounter::EvictionsRanked, evicted);
+        }
+    }
+
+    /// Evicts the live instance `id`, refunding its unused reservation.
+    /// Returns the memory it freed.
+    fn evict(&mut self, id: WarmId) -> MemoryMb {
+        let inst = self.pool.get(id).expect("eviction victim must be live");
+        let memory = inst.memory;
+        let refund = inst.refundable_at(self.now);
+        self.credit(refund);
+        self.remove_instance(id, ReleaseReason::Evicted);
+        self.evictions += 1;
+        memory
     }
 
     /// Starts an execution of `function` on `node` and emits its service

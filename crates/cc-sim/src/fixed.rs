@@ -63,6 +63,11 @@ impl Scheduler for FixedKeepAlive {
         }
     }
 
+    fn evicts_in_admission_order(&self) -> bool {
+        // Default LRU `eviction_rank`.
+        true
+    }
+
     fn place(&mut self, _function: FunctionId, view: &ClusterView<'_>) -> Arch {
         if let Some(arch) = self.prefer_arch {
             return arch;

@@ -48,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod calendar;
 mod config;
 mod engine;
 mod fixed;

@@ -1,53 +1,74 @@
 //! The warm pool: a generational slab arena plus the ordered indexes the
 //! engine's hot path queries.
 //!
-//! The pool replaces the original `HashMap<WarmId, WarmInstance>` /
-//! `HashMap<FunctionId, Vec<WarmId>>` pair with:
+//! Instances live in a **slab arena**: a dense, struct-of-arrays set of
+//! slot vectors recycled through a free list. Handles are generational
+//! ([`WarmId`]), so a stale handle — an instance that was reused, evicted
+//! or expired, whose slot may already hold a different instance — fails
+//! the generation check instead of aliasing. Lookup is an array index.
 //!
-//! - a **slab arena**: instances live in a dense `Vec` of slots recycled
-//!   through a free list. Handles are generational ([`WarmId`]), so a
-//!   queued expiry event whose instance was reused or evicted — and whose
-//!   slot may already hold a different instance — fails the generation
-//!   check instead of aliasing. Lookup is an array index, not a hash.
-//! - a **per-function candidate index**: a `BTreeSet` ordered by
-//!   `(start-penalty class, expiry, seq)` — exactly the order the engine
-//!   previously produced by sorting a freshly collected vector on every
-//!   arrival. Reuse candidates now come out of an iterator in O(log n)
-//!   amortized, allocation-free.
-//! - a **per-node residency index** in admission (`seq`) order, so
-//!   eviction only examines the target node's residents instead of
-//!   scanning the whole cluster's pool.
+//! The two per-owner indexes are **intrusive doubly linked lists** threaded
+//! through the slab's hot array, so they cost one `u32` head per function
+//! (plus a head and tail per node) and never allocate:
+//!
+//! - the **per-function candidate list** keeps a function's live
+//!   instances in reuse-preference order, `(start-penalty class, expiry,
+//!   seq)`. Insertion walks from the head to the first larger key — a
+//!   function rarely holds more than two warm instances, so the walk is
+//!   usually 0–2 steps — and removal is an O(1) unlink.
+//! - the **per-node residency list** keeps a node's residents in admission
+//!   order. Admission numbers (`seq`) only grow, so admission is an O(1)
+//!   append at the tail and the list is a FIFO: eviction examines only the
+//!   target node's residents, oldest first.
 //!
 //! The candidate key of a compressed instance changes once, when
 //! background compression finishes (`compressed_ready_at`): before that a
 //! reuse finds the uncompressed copy (penalty zero), after it a reuse pays
 //! decompression. Rather than rewriting keys eagerly on a timer, the pool
-//! parks each pending re-key in a time-ordered `transitions` set and
-//! migrates the due ones at query time ([`WarmPool::migrate_due`]) — each
-//! instance migrates at most once, so the cost is amortized O(log n) per
-//! admission.
+//! parks each pending re-key in a time-ordered `transitions` calendar and
+//! migrates the due ones at query time ([`WarmPool::migrate_due`]) — an
+//! unlink plus a relink, at most once per instance.
+//!
+//! Keep-alive expirations are served from the `expiries` calendar over
+//! every live instance. Both calendars are indexed heaps over slab slots
+//! ([`SlotHeap`]), so once the slab and the calendars reach their
+//! high-water capacity, admission, reuse, eviction and expiry perform no
+//! heap allocation at all.
 
-use std::collections::BTreeSet;
-
-#[cfg(debug_assertions)]
+#[cfg(any(test, debug_assertions))]
 use cc_types::MemoryMb;
 use cc_types::{FunctionId, NodeId, SimDuration, SimTime, WarmId};
 
+use crate::calendar::SlotHeap;
 use crate::node::WarmInstance;
 
-/// Candidate-index key: start-penalty class first (free reuses before
-/// decompressing ones), then expiry (spend the instance closest to
-/// expiring, saving the freshest), then admission order as the unique
-/// deterministic tie-break.
-type CandidateKey = (SimDuration, SimTime, u64, WarmId);
-
+/// The null link: no slot, i.e. the end of a list (or an empty one).
 const NO_SLOT: u32 = u32::MAX;
 
+/// Index of the per-function candidate list's links in [`SlotHot::links`].
+const CANDIDATES: usize = 0;
+/// Index of the per-node residency list's links in [`SlotHot::links`].
+const RESIDENTS: usize = 1;
+
+/// One slot's position in an intrusive list: its neighbours' slots, or
+/// [`NO_SLOT`] at either end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Links {
+    prev: u32,
+    next: u32,
+}
+
+impl Links {
+    const UNLINKED: Links = Links {
+        prev: NO_SLOT,
+        next: NO_SLOT,
+    };
+}
+
 /// Hot per-slot fields, split struct-of-arrays style from the full
-/// [`WarmInstance`]: everything the per-arrival paths (candidate-key
-/// computation on removal, transition migration, expiry drain) need, in
-/// one 24-byte record so those reads touch a dense array instead of
-/// dragging whole instances through the cache.
+/// [`WarmInstance`]: everything the per-arrival paths (candidate-list
+/// walks, transition migration, removal, expiry drain) need, in one dense
+/// 40-byte record so those reads stay out of the cold instance array.
 #[derive(Debug, Clone, Copy)]
 struct SlotHot {
     /// Keep-alive expiry of the occupying instance.
@@ -57,9 +78,11 @@ struct SlotHot {
     /// The penalty class the instance's candidate key currently carries:
     /// zero until the compression re-key transition migrates it, the
     /// decompression penalty after. Maintained by insert/migrate so
-    /// removal reads the current key in O(1) instead of inferring it from
-    /// the transition set.
+    /// removal never infers it from the transition set.
     key_penalty: SimDuration,
+    /// Links in the function's candidate list ([`CANDIDATES`]) and the
+    /// node's residency list ([`RESIDENTS`]).
+    links: [Links; 2],
 }
 
 impl SlotHot {
@@ -67,7 +90,13 @@ impl SlotHot {
         expiry: SimTime::ZERO,
         seq: 0,
         key_penalty: SimDuration::ZERO,
+        links: [Links::UNLINKED; 2],
     };
+
+    /// The candidate-list order key; `seq` makes it unique.
+    fn candidate_key(&self) -> (SimDuration, SimTime, u64) {
+        (self.key_penalty, self.expiry, self.seq)
+    }
 }
 
 /// Cold per-slot payload: the full instance, or the free-list link.
@@ -77,31 +106,18 @@ enum SlotCold {
     Vacant { next_free: u32 },
 }
 
-/// Per-function index entry.
-#[derive(Debug, Default)]
-struct FunctionEntry {
-    /// Live instances in admission order (what policies observe through
-    /// `ClusterView::warm_instances_of`).
-    order: Vec<WarmId>,
-    /// Live instances in reuse-preference order.
-    candidates: BTreeSet<CandidateKey>,
-}
-
 /// The warm-instance arena and its indexes. See the module docs.
 ///
 /// The arena is laid out struct-of-arrays: `generations`, `hot`, and
-/// `cold` are parallel vectors indexed by slot. The generational
-/// [`WarmId`] contract is unchanged — a handle is live iff its generation
-/// matches `generations[slot]` — and candidate ordering is bit-identical
-/// to the former array-of-structs layout (the ordered indexes are the
-/// same; only the backing storage moved).
+/// `cold` are parallel vectors indexed by slot. A handle is live iff its
+/// generation matches `generations[slot]`.
 #[derive(Debug)]
 pub(crate) struct WarmPool {
     /// Per slot: bumped every time the slot is freed; a handle is live iff
     /// its generation matches.
     generations: Vec<u32>,
-    /// Per slot: the hot fields of the occupying instance (garbage while
-    /// vacant).
+    /// Per slot: the hot fields and list links of the occupying instance
+    /// (garbage while vacant).
     hot: Vec<SlotHot>,
     /// Per slot: the full instance, or the free-list link while vacant.
     cold: Vec<SlotCold>,
@@ -109,19 +125,40 @@ pub(crate) struct WarmPool {
     len: usize,
     compressed: usize,
     next_seq: u64,
-    functions: Vec<FunctionEntry>,
-    /// Per node: live residents as `(seq, id)`, i.e. admission order.
-    residents: Vec<BTreeSet<(u64, WarmId)>>,
+    /// Per function: the first slot of its candidate list.
+    candidate_heads: Vec<u32>,
+    /// Per node: the oldest resident's slot.
+    resident_heads: Vec<u32>,
+    /// Per node: the newest resident's slot (admission appends here).
+    resident_tails: Vec<u32>,
     /// Compressed instances whose candidate key still carries a zero
-    /// penalty but must be re-keyed at `(compressed_ready_at, seq, id)`.
-    transitions: BTreeSet<(SimTime, u64, WarmId)>,
-    /// Expiry calendar: every live instance keyed by
-    /// `(expiry, seq, id)`. The engine serves keep-alive expirations
-    /// straight from this index instead of pushing one heap event per
-    /// admission, so a window boundary drains all due expiries in one
-    /// ordered pass and reused/evicted instances never leave stale
-    /// tombstone events behind.
-    expiries: BTreeSet<(SimTime, u64, WarmId)>,
+    /// penalty but must be re-keyed, keyed by `(compressed_ready_at, seq)`.
+    transitions: SlotHeap,
+    /// Expiry calendar: every live instance keyed by `(expiry, seq)`. The
+    /// engine serves keep-alive expirations straight from this index
+    /// instead of pushing one heap event per admission, so a window
+    /// boundary drains all due expiries in one ordered pass and
+    /// reused/evicted instances never leave stale tombstone events behind.
+    expiries: SlotHeap,
+}
+
+/// Iterator over one intrusive list, yielding live handles.
+pub(crate) struct ListIter<'a, const L: usize> {
+    pool: &'a WarmPool,
+    cursor: u32,
+}
+
+impl<const L: usize> Iterator for ListIter<'_, L> {
+    type Item = WarmId;
+
+    fn next(&mut self) -> Option<WarmId> {
+        if self.cursor == NO_SLOT {
+            return None;
+        }
+        let slot = self.cursor as usize;
+        self.cursor = self.pool.hot[slot].links[L].next;
+        Some(WarmId::new(slot as u32, self.pool.generations[slot]))
+    }
 }
 
 impl WarmPool {
@@ -136,10 +173,11 @@ impl WarmPool {
             len: 0,
             compressed: 0,
             next_seq: 0,
-            functions: (0..functions).map(|_| FunctionEntry::default()).collect(),
-            residents: (0..nodes).map(|_| BTreeSet::new()).collect(),
-            transitions: BTreeSet::new(),
-            expiries: BTreeSet::new(),
+            candidate_heads: vec![NO_SLOT; functions],
+            resident_heads: vec![NO_SLOT; nodes],
+            resident_tails: vec![NO_SLOT; nodes],
+            transitions: SlotHeap::default(),
+            expiries: SlotHeap::default(),
         }
     }
 
@@ -155,7 +193,7 @@ impl WarmPool {
 
     /// Whether `function` has at least one live instance.
     pub fn is_warm(&self, function: FunctionId) -> bool {
-        !self.functions[function.index()].order.is_empty()
+        self.candidate_heads[function.index()] != NO_SLOT
     }
 
     /// The live instance behind `id`, or `None` if the handle is stale
@@ -178,7 +216,7 @@ impl WarmPool {
         self.next_seq += 1;
         inst.seq = self.next_seq;
 
-        let slot_index = if self.free_head != NO_SLOT {
+        let slot = if self.free_head != NO_SLOT {
             let index = self.free_head;
             let SlotCold::Vacant { next_free } = self.cold[index as usize] else {
                 unreachable!("free list points at an occupied slot");
@@ -195,35 +233,39 @@ impl WarmPool {
             self.cold.push(SlotCold::Vacant { next_free: NO_SLOT });
             (self.cold.len() - 1) as u32
         };
-        let id = WarmId::new(slot_index, self.generations[slot_index as usize]);
+        let id = WarmId::new(slot, self.generations[slot as usize]);
         inst.id = id;
 
-        let entry = &mut self.functions[inst.function.index()];
-        entry.order.push(id);
         // A compressed instance enters the zero-penalty class (reuse finds
         // the uncompressed copy until compression completes) and is parked
         // for re-keying — unless compression is instantaneous, in which
         // case it pays decompression from the start.
         let key_penalty = inst.admission_key_penalty();
-        entry
-            .candidates
-            .insert((key_penalty, inst.expiry, inst.seq, id));
+        self.hot[slot as usize] = SlotHot {
+            expiry: inst.expiry,
+            seq: inst.seq,
+            key_penalty,
+            links: [Links::UNLINKED; 2],
+        };
+        self.link_candidate(inst.function, slot);
+        // `seq` only grows, so the new resident is the node's newest.
+        let node = inst.node.index();
+        let tail = self.resident_tails[node];
+        self.link::<RESIDENTS>(slot, tail, NO_SLOT);
+        if tail == NO_SLOT {
+            self.resident_heads[node] = slot;
+        }
+        self.resident_tails[node] = slot;
+
         if inst.compressed && inst.compressed_ready_at > inst.since {
             self.transitions
-                .insert((inst.compressed_ready_at, inst.seq, id));
+                .push(inst.compressed_ready_at, inst.seq, slot);
         }
         if inst.compressed {
             self.compressed += 1;
         }
-        self.residents[inst.node.index()].insert((inst.seq, id));
-        self.expiries.insert((inst.expiry, inst.seq, id));
-
-        self.hot[slot_index as usize] = SlotHot {
-            expiry: inst.expiry,
-            seq: inst.seq,
-            key_penalty,
-        };
-        self.cold[slot_index as usize] = SlotCold::Occupied(inst);
+        self.expiries.push(inst.expiry, inst.seq, slot);
+        self.cold[slot as usize] = SlotCold::Occupied(inst);
         self.len += 1;
         id
     }
@@ -241,16 +283,7 @@ impl WarmPool {
             id.generation(),
             "instance must exist to be removed"
         );
-        // All three ordered-index removals key off the hot array — the
-        // candidate key's current penalty class (maintained by insert and
-        // `migrate_due`, so no probing the transition set to infer it),
-        // the expiry, and the admission seq — one dense 24-byte read
-        // instead of dragging the whole instance through the cache first.
-        let SlotHot {
-            expiry,
-            seq,
-            key_penalty,
-        } = self.hot[id.slot()];
+        let slot = id.slot() as u32;
         let state = std::mem::replace(
             &mut self.cold[id.slot()],
             SlotCold::Vacant {
@@ -260,44 +293,46 @@ impl WarmPool {
         let SlotCold::Occupied(inst) = state else {
             panic!("instance must exist to be removed");
         };
+        let SlotHot {
+            expiry,
+            seq,
+            key_penalty,
+            ..
+        } = self.hot[id.slot()];
         debug_assert_eq!(
             (expiry, seq),
             (inst.expiry, inst.seq),
             "hot array out of sync"
         );
+
+        self.unlink_candidate(inst.function, slot);
+        let links = self.unlink::<RESIDENTS>(slot);
+        let node = inst.node.index();
+        if links.prev == NO_SLOT {
+            self.resident_heads[node] = links.next;
+        }
+        if links.next == NO_SLOT {
+            self.resident_tails[node] = links.prev;
+        }
+
         self.generations[id.slot()] += 1;
         self.hot[id.slot()] = SlotHot::VACANT;
-        self.free_head = id.slot() as u32;
+        self.free_head = slot;
         self.len -= 1;
 
         if inst.compressed {
             // Drop the parked re-key transition if it never fired; a
             // no-op for instances that already migrated (or entered the
             // penalty class at admission).
-            let parked = self
-                .transitions
-                .remove(&(inst.compressed_ready_at, seq, id));
+            let parked = self.transitions.remove(slot);
             debug_assert!(
                 !parked || key_penalty.is_zero(),
                 "hot penalty class out of sync with the transition set"
             );
-        }
-        let entry = &mut self.functions[inst.function.index()];
-        let removed = entry.candidates.remove(&(key_penalty, expiry, seq, id));
-        debug_assert!(removed, "candidate index out of sync");
-        let position = entry
-            .order
-            .iter()
-            .position(|&i| i == id)
-            .expect("order index out of sync");
-        entry.order.remove(position);
-        let removed = self.residents[inst.node.index()].remove(&(seq, id));
-        debug_assert!(removed, "residency index out of sync");
-        let removed = self.expiries.remove(&(expiry, seq, id));
-        debug_assert!(removed, "expiry calendar out of sync");
-        if inst.compressed {
             self.compressed -= 1;
         }
+        let removed = self.expiries.remove(slot);
+        debug_assert!(removed, "expiry calendar out of sync");
         inst
     }
 
@@ -306,7 +341,8 @@ impl WarmPool {
     /// expirations come out in admission order — the same order the
     /// per-admission heap events used to impose.
     pub fn next_expiry(&self) -> Option<(SimTime, u64, WarmId)> {
-        self.expiries.iter().next().copied()
+        let (at, seq, slot) = self.expiries.peek()?;
+        Some((at, seq, WarmId::new(slot, self.generations[slot as usize])))
     }
 
     /// Re-keys every compressed instance whose `compressed_ready_at` has
@@ -314,20 +350,22 @@ impl WarmPool {
     /// penalty. Must be called before reading [`WarmPool::candidates_of`];
     /// each instance migrates at most once per lifetime.
     pub fn migrate_due(&mut self, now: SimTime) {
-        while let Some(&(ready_at, seq, id)) = self.transitions.iter().next() {
+        while let Some((ready_at, _, slot)) = self.transitions.peek() {
             if ready_at > now {
                 break;
             }
-            self.transitions.remove(&(ready_at, seq, id));
-            let inst = self.get(id).expect("parked transition for a dead instance");
-            let (function, expiry, penalty) = (inst.function, inst.expiry, inst.decompress_penalty);
-            self.hot[id.slot()].key_penalty = penalty;
-            let entry = &mut self.functions[function.index()];
-            let removed = entry
-                .candidates
-                .remove(&(SimDuration::ZERO, expiry, seq, id));
-            debug_assert!(removed, "candidate index out of sync during migration");
-            entry.candidates.insert((penalty, expiry, seq, id));
+            self.transitions.remove(slot);
+            let SlotCold::Occupied(inst) = &self.cold[slot as usize] else {
+                panic!("parked transition for a dead instance");
+            };
+            let (function, penalty) = (inst.function, inst.decompress_penalty);
+            debug_assert!(
+                self.hot[slot as usize].key_penalty.is_zero(),
+                "candidate list out of sync during migration"
+            );
+            self.unlink_candidate(function, slot);
+            self.hot[slot as usize].key_penalty = penalty;
+            self.link_candidate(function, slot);
         }
     }
 
@@ -335,31 +373,83 @@ impl WarmPool {
     /// start-penalty class first, then closest expiry, then admission
     /// order. Only valid if [`WarmPool::migrate_due`] has been called with
     /// the current time.
-    pub fn candidates_of(&self, function: FunctionId) -> impl Iterator<Item = WarmId> + '_ {
-        self.functions[function.index()]
-            .candidates
-            .iter()
-            .map(|&(_, _, _, id)| id)
-    }
-
-    /// Live instances of `function` in admission order.
-    pub fn order_of(&self, function: FunctionId) -> &[WarmId] {
-        &self.functions[function.index()].order
+    pub fn candidates_of(&self, function: FunctionId) -> ListIter<'_, CANDIDATES> {
+        ListIter {
+            pool: self,
+            cursor: self.candidate_heads[function.index()],
+        }
     }
 
     /// Live instances resident on `node`, in admission order.
-    pub fn residents_of(&self, node: NodeId) -> impl Iterator<Item = WarmId> + '_ {
-        self.residents[node.index()].iter().map(|&(_, id)| id)
+    pub fn residents_of(&self, node: NodeId) -> ListIter<'_, RESIDENTS> {
+        ListIter {
+            pool: self,
+            cursor: self.resident_heads[node.index()],
+        }
     }
 
     /// Sum of the footprints of `node`'s residents. O(residents); used
     /// only in debug assertions to validate the node-state counter the
     /// engine uses instead.
-    #[cfg(debug_assertions)]
+    #[cfg(any(test, debug_assertions))]
     pub fn resident_memory(&self, node: NodeId) -> MemoryMb {
         self.residents_of(node)
             .map(|id| self.get(id).expect("resident index out of sync").memory)
             .sum()
+    }
+
+    /// Sets `slot`'s links in list `L` to `prev`/`next` and points those
+    /// neighbours back at it. The owner's head/tail is the caller's job.
+    fn link<const L: usize>(&mut self, slot: u32, prev: u32, next: u32) {
+        self.hot[slot as usize].links[L] = Links { prev, next };
+        if prev != NO_SLOT {
+            self.hot[prev as usize].links[L].next = slot;
+        }
+        if next != NO_SLOT {
+            self.hot[next as usize].links[L].prev = slot;
+        }
+    }
+
+    /// Splices `slot` out of list `L`, returning its former links so the
+    /// caller can repair the owner's head/tail.
+    fn unlink<const L: usize>(&mut self, slot: u32) -> Links {
+        let links = self.hot[slot as usize].links[L];
+        if links.prev != NO_SLOT {
+            self.hot[links.prev as usize].links[L].next = links.next;
+        }
+        if links.next != NO_SLOT {
+            self.hot[links.next as usize].links[L].prev = links.prev;
+        }
+        self.hot[slot as usize].links[L] = Links::UNLINKED;
+        links
+    }
+
+    /// Links `slot` into `function`'s candidate list before the first
+    /// entry with a larger key.
+    fn link_candidate(&mut self, function: FunctionId, slot: u32) {
+        let key = self.hot[slot as usize].candidate_key();
+        let mut prev = NO_SLOT;
+        let mut next = self.candidate_heads[function.index()];
+        while next != NO_SLOT && self.hot[next as usize].candidate_key() < key {
+            prev = next;
+            next = self.hot[next as usize].links[CANDIDATES].next;
+        }
+        self.link::<CANDIDATES>(slot, prev, next);
+        if prev == NO_SLOT {
+            self.candidate_heads[function.index()] = slot;
+        }
+    }
+
+    fn unlink_candidate(&mut self, function: FunctionId, slot: u32) {
+        let links = self.unlink::<CANDIDATES>(slot);
+        if links.prev == NO_SLOT {
+            debug_assert_eq!(
+                self.candidate_heads[function.index()],
+                slot,
+                "candidate list out of sync"
+            );
+            self.candidate_heads[function.index()] = links.next;
+        }
     }
 }
 
@@ -514,7 +604,7 @@ mod tests {
     }
 
     #[test]
-    fn residents_and_order_track_membership() {
+    fn residents_and_candidates_track_membership() {
         let mut pool = WarmPool::new(3, 2);
         let a = pool.insert(instance(0, 0, 60));
         let b = pool.insert(instance(1, 0, 30));
@@ -523,14 +613,66 @@ mod tests {
             pool.residents_of(NodeId::new(0)).collect::<Vec<_>>(),
             vec![a, b]
         );
-        assert_eq!(pool.order_of(FunctionId::new(0)), &[a, c]);
+        assert_eq!(
+            pool.candidates_of(FunctionId::new(0)).collect::<Vec<_>>(),
+            vec![a, c]
+        );
         pool.remove(a);
         assert_eq!(
             pool.residents_of(NodeId::new(0)).collect::<Vec<_>>(),
             vec![b]
         );
-        assert_eq!(pool.order_of(FunctionId::new(0)), &[c]);
+        assert_eq!(
+            pool.candidates_of(FunctionId::new(0)).collect::<Vec<_>>(),
+            vec![c]
+        );
         assert_eq!(pool.resident_memory(NodeId::new(1)), MemoryMb::new(100));
+        pool.remove(b);
+        assert!(pool.residents_of(NodeId::new(0)).next().is_none());
+        assert_eq!(pool.resident_heads[0], NO_SLOT);
+        assert_eq!(pool.resident_tails[0], NO_SLOT);
+    }
+
+    /// Checks every intrusive list against the live set: each list's
+    /// prev/next links are mutually consistent, and an owner's head (and
+    /// tail) is `NO_SLOT` exactly when its list is empty.
+    fn assert_lists_consistent(pool: &WarmPool) -> Result<(), String> {
+        fn check<const L: usize>(pool: &WarmPool, head: u32) -> Result<u32, String> {
+            let (mut prev, mut cursor, mut steps) = (NO_SLOT, head, 0usize);
+            while cursor != NO_SLOT {
+                let links = pool.hot[cursor as usize].links[L];
+                prop_assert_eq!(links.prev, prev, "asymmetric prev link");
+                prop_assert!(
+                    matches!(pool.cold[cursor as usize], SlotCold::Occupied(_)),
+                    "list reaches a vacant slot"
+                );
+                prev = cursor;
+                cursor = links.next;
+                steps += 1;
+                prop_assert!(steps <= pool.len(), "list cycles");
+            }
+            Ok(prev)
+        }
+        let mut linked = 0;
+        for (f, &head) in pool.candidate_heads.iter().enumerate() {
+            check::<CANDIDATES>(pool, head)?;
+            linked += pool.candidates_of(FunctionId::new(f as u32)).count();
+        }
+        prop_assert_eq!(linked, pool.len(), "candidate lists miss instances");
+        let mut resident = 0;
+        for (n, (&head, &tail)) in pool
+            .resident_heads
+            .iter()
+            .zip(&pool.resident_tails)
+            .enumerate()
+        {
+            let last = check::<RESIDENTS>(pool, head)?;
+            prop_assert_eq!(last, tail, "tail is not the list's last slot");
+            prop_assert_eq!(head == NO_SLOT, tail == NO_SLOT);
+            resident += pool.residents_of(NodeId::new(n as u32)).count();
+        }
+        prop_assert_eq!(resident, pool.len(), "residency lists miss instances");
+        Ok(())
     }
 
     proptest! {
@@ -635,6 +777,90 @@ mod tests {
             }
             for &id in &live {
                 prop_assert!(pool.get(id).is_some());
+            }
+        }
+
+        // The intrusive lists under arbitrary interleavings of admissions,
+        // removals and compression-ready migrations across several
+        // functions and nodes, against brute-force references over the
+        // live set.
+        #[test]
+        fn intrusive_lists_match_references_under_churn(
+            // ((op, function, node), (compressed, ready_s, expiry_s),
+            //  (penalty_ms, pick))
+            ops in prop::collection::vec(
+                (
+                    (0u8..4, 0u32..3, 0u32..3),
+                    (any::<bool>(), 0u64..90, 1u64..180),
+                    (1u64..60, any::<u16>()),
+                ),
+                1..80,
+            ),
+        ) {
+            const FUNCTIONS: u32 = 3;
+            const NODES: u32 = 3;
+            let mut pool = WarmPool::new(FUNCTIONS as usize, NODES as usize);
+            let mut live: Vec<WarmId> = Vec::new();
+            let mut now_s = 0u64;
+            for &((op, function, node), (compressed, ready_s, expiry_s), (penalty_ms, pick)) in &ops {
+                match op {
+                    // Admissions twice as often as removals, so lists grow.
+                    0 | 1 => {
+                        let (ready, expiry) = (now_s + ready_s, now_s + expiry_s);
+                        let inst = if compressed {
+                            compressed_instance(function, node, now_s, ready, expiry, penalty_ms)
+                        } else {
+                            instance(function, node, expiry)
+                        };
+                        live.push(pool.insert(inst));
+                    }
+                    2 if !live.is_empty() => {
+                        let victim = live.swap_remove(pick as usize % live.len());
+                        pool.remove(victim);
+                    }
+                    _ => {
+                        now_s += u64::from(pick % 30);
+                        pool.migrate_due(at(now_s));
+                    }
+                }
+                assert_lists_consistent(&pool)?;
+
+                let now = at(now_s);
+                pool.migrate_due(now);
+                for f in 0..FUNCTIONS {
+                    let function = FunctionId::new(f);
+                    let mut brute: Vec<(SimDuration, SimTime, u64, WarmId)> = live
+                        .iter()
+                        .map(|&id| pool.get(id).expect("live"))
+                        .filter(|inst| inst.function == function)
+                        .map(|inst| {
+                            let penalty = if inst.pays_decompression(now) {
+                                inst.decompress_penalty
+                            } else {
+                                SimDuration::ZERO
+                            };
+                            (penalty, inst.expiry, inst.seq, inst.id)
+                        })
+                        .collect();
+                    brute.sort();
+                    let brute: Vec<WarmId> = brute.into_iter().map(|(_, _, _, id)| id).collect();
+                    prop_assert_eq!(pool.is_warm(function), !brute.is_empty());
+                    let indexed: Vec<WarmId> = pool.candidates_of(function).collect();
+                    prop_assert_eq!(indexed, brute);
+                }
+                for n in 0..NODES {
+                    let node = NodeId::new(n);
+                    let mut brute: Vec<(u64, WarmId)> = live
+                        .iter()
+                        .map(|&id| pool.get(id).expect("live"))
+                        .filter(|inst| inst.node == node)
+                        .map(|inst| (inst.seq, inst.id))
+                        .collect();
+                    brute.sort();
+                    let brute: Vec<WarmId> = brute.into_iter().map(|(_, id)| id).collect();
+                    let indexed: Vec<WarmId> = pool.residents_of(node).collect();
+                    prop_assert_eq!(indexed, brute);
+                }
             }
         }
     }

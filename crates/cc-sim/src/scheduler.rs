@@ -70,7 +70,9 @@ pub enum Command {
 /// (history building), every cold-start placement, every completion
 /// (keep-alive decision), and once per optimization interval (pre-warming
 /// and proactive eviction). [`Scheduler::eviction_rank`] additionally
-/// orders victims under memory pressure.
+/// orders victims under memory pressure, unless the policy declares
+/// through [`Scheduler::evicts_in_admission_order`] that its order is the
+/// admission order.
 ///
 /// All callbacks receive a read-only [`ClusterView`].
 pub trait Scheduler {
@@ -114,6 +116,24 @@ pub trait Scheduler {
     fn eviction_rank(&mut self, instance: &WarmInstance, view: &ClusterView<'_>) -> f64 {
         let _ = view;
         instance.since.as_micros() as f64
+    }
+
+    /// Declares that this policy's eviction order is admission order, so
+    /// the engine may evict straight off a node's admission FIFO without
+    /// calling [`Scheduler::eviction_rank`] at all.
+    ///
+    /// **Contract: rank must equal admission order.** Return `true` only
+    /// if `eviction_rank` never orders a later admission strictly before
+    /// an earlier one and has no side effects. The default LRU rank
+    /// qualifies: an instance's `since` is its admission instant, which
+    /// never decreases with `seq`, and ties are broken by `seq` either way,
+    /// so both paths evict the same victims. A policy that overrides
+    /// `eviction_rank` (or a wrapper that observes the calls) must keep
+    /// the default `false`; a wrapper around an opted-in policy may
+    /// forward this declaration only if it forwards `eviction_rank`
+    /// unchanged.
+    fn evicts_in_admission_order(&self) -> bool {
+        false
     }
 
     /// Asks the policy to record per-round optimizer progress for

@@ -65,11 +65,15 @@ impl<'a> ClusterView<'a> {
 
     /// Warm instances currently alive for `function`, in admission order.
     pub fn warm_instances_of(&self, function: FunctionId) -> Vec<&'a WarmInstance> {
-        self.pool
-            .order_of(function)
-            .iter()
-            .filter_map(|&id| self.pool.get(id))
-            .collect()
+        let pool = self.pool;
+        let mut instances: Vec<&'a WarmInstance> = pool
+            .candidates_of(function)
+            .map(|id| pool.get(id).expect("candidate lists hold live instances"))
+            .collect();
+        // The pool keeps a function's instances in reuse-preference order;
+        // `seq` is the admission number.
+        instances.sort_unstable_by_key(|inst| inst.seq);
+        instances
     }
 
     /// The live warm instance behind `id`, or `None` if the handle is

@@ -256,6 +256,11 @@ impl Scheduler for CodeCrunch {
         &self.name
     }
 
+    fn evicts_in_admission_order(&self) -> bool {
+        // Default LRU `eviction_rank`.
+        true
+    }
+
     fn on_arrival(&mut self, function: FunctionId, now: SimTime) {
         self.ensure_capacity(function);
         let idx = function.index();
