@@ -35,16 +35,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cc_compress::CompressionModel;
-use cc_policies::{FaasCache, IceBreaker, Oracle, SitW};
+use cc_experiments::{build_policy, PolicyError};
 use cc_serve::{Clock, RealClock, ServeHandle, ServeOptions, Server, VirtualClock};
-use cc_sim::{
-    ClusterConfig, Event, EventSink, FixedKeepAlive, JsonlSink, Scheduler, SharedTelemetry,
-    Telemetry,
-};
+use cc_sim::{ClusterConfig, Event, EventSink, JsonlSink, SharedTelemetry, Telemetry};
 use cc_trace::{StreamingTrace, SyntheticTrace, Trace};
 use cc_types::{SimDuration, SimTime};
 use cc_workload::{Catalog, Workload};
-use codecrunch::CodeCrunch;
 
 const USAGE: &str = "usage: ccserve [--policy NAME] [--scenario synthetic|stream] \
                      [--functions N] [--minutes N] [--seed N] [--rate-scale F] \
@@ -100,21 +96,6 @@ impl EventSink for CcserveSink {
                 }
             }
         }
-    }
-}
-
-fn policy_for(name: &str, trace: Option<&Trace>) -> Box<dyn Scheduler> {
-    match name {
-        "fixed_keepalive" => Box::new(FixedKeepAlive::ten_minutes()),
-        "sitw" => Box::new(SitW::new()),
-        "faascache" => Box::new(FaasCache::new()),
-        "icebreaker" => Box::new(IceBreaker::new()),
-        "oracle" => match trace {
-            Some(trace) => Box::new(Oracle::new(trace)),
-            None => usage_error("oracle needs a materialized trace; use --scenario synthetic"),
-        },
-        "codecrunch" => Box::new(CodeCrunch::new()),
-        other => usage_error(&format!("unknown policy {other}")),
     }
 }
 
@@ -204,6 +185,13 @@ fn main() {
             other => usage_error(&format!("unknown flag {other}")),
         }
     }
+    // Check the policy name before building any scenario. The Oracle needs
+    // the materialized trace only the synthetic scenario has.
+    match build_policy(&policy_name, None) {
+        Err(PolicyError::NeedsTrace) if scenario == "synthetic" => {}
+        Err(e) => usage_error(&e.to_string()),
+        Ok(_) => {}
+    }
 
     let mut config = ClusterConfig::small(x86, arm);
     if let Some(fraction) = warm_fraction {
@@ -249,7 +237,8 @@ fn main() {
         }
         other => usage_error(&format!("unknown scenario {other} (synthetic|stream)")),
     }
-    let mut policy = policy_for(&policy_name, trace.as_ref());
+    let mut policy =
+        build_policy(&policy_name, trace.as_ref()).expect("policy name validated at startup");
 
     let clock: Arc<dyn Clock> = if virtual_clock {
         Arc::new(VirtualClock::new())

@@ -64,16 +64,15 @@ use std::time::Instant;
 use bench::BenchScenario;
 use cc_bound::{measured_cost_of_records, GapReport, HindsightInput};
 use cc_compress::CompressionModel;
-use cc_policies::{FaasCache, IceBreaker, Oracle, SitW};
+use cc_experiments::{build_policy, PolicyError, POLICY_NAMES};
 use cc_shard::{run_sharded, run_sharded_jsonl, NullSinkFactory, ShardedRunConfig};
 use cc_sim::{
-    ChannelSink, ChromeTraceSink, ClusterConfig, Event, EventSink, FixedKeepAlive, JsonlSink,
-    NullSink, SamplingSink, Scheduler, SimReport, Simulation, Tee, Telemetry, WallProfiler,
+    ChannelSink, ChromeTraceSink, ClusterConfig, Event, EventSink, JsonlSink, NullSink,
+    SamplingSink, SimReport, Simulation, Tee, Telemetry, WallProfiler,
 };
 use cc_trace::{SyntheticTrace, Trace};
 use cc_types::{Cost, SimDuration};
 use cc_workload::{Catalog, Workload};
-use codecrunch::CodeCrunch;
 
 /// With the `alloc-profile` feature, every allocation in this binary is
 /// counted and attributed to the active profiling phase.
@@ -88,15 +87,6 @@ const USAGE: &str = "usage: ccstat [--policy NAME|all] [--functions N] [--minute
                      \x20      ccstat replay FILE.jsonl [--audit] [--assume-sampled] [--no-table] \
                      [--gap] [--functions N] [--minutes N] [--seed N] [--x86 N] [--arm N] \
                      [--warm-fraction F] [--budget DOLLARS]";
-
-const POLICIES: [&str; 6] = [
-    "fixed_keepalive",
-    "sitw",
-    "faascache",
-    "icebreaker",
-    "oracle",
-    "codecrunch",
-];
 
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}");
@@ -234,13 +224,11 @@ fn main() {
     }
 
     let names: Vec<&str> = if policy_arg == "all" {
-        POLICIES.to_vec()
-    } else if let Some(&name) = POLICIES.iter().find(|&&n| n == policy_arg) {
+        POLICY_NAMES.to_vec()
+    } else if let Some(&name) = POLICY_NAMES.iter().find(|&&n| n == policy_arg) {
         vec![name]
     } else {
-        usage_error(&format!(
-            "unknown policy {policy_arg:?} (known: {POLICIES:?} or all)"
-        ));
+        usage_error(&format!("{}, or all", PolicyError::Unknown(policy_arg)));
     };
 
     let (trace, workload, config) = if stress {
@@ -289,7 +277,8 @@ fn main() {
 
     let multi = names.len() > 1;
     for name in names {
-        let mut policy = make_policy(name, &trace);
+        let mut policy =
+            build_policy(name, Some(&trace)).expect("policy names are validated at startup");
         println!("=== {name} ===");
         if live {
             println!("{}", Telemetry::interval_header());
@@ -541,18 +530,6 @@ fn run_replay(args: impl Iterator<Item = String>) -> ! {
     std::process::exit(i32::from(failed));
 }
 
-fn make_policy(name: &str, trace: &Trace) -> Box<dyn Scheduler> {
-    match name {
-        "fixed_keepalive" => Box::new(FixedKeepAlive::ten_minutes()),
-        "sitw" => Box::new(SitW::new()),
-        "faascache" => Box::new(FaasCache::new()),
-        "icebreaker" => Box::new(IceBreaker::new()),
-        "oracle" => Box::new(Oracle::new(trace)),
-        "codecrunch" => Box::new(CodeCrunch::new()),
-        _ => unreachable!("validated above"),
-    }
-}
-
 /// One policy replayed inside a shard: telemetry folds locally in the
 /// worker, events tee into the shard's sink (the channel toward the mux, or
 /// nothing), and both travel back to the main thread for printing in shard
@@ -564,7 +541,8 @@ fn replay_shard<S: EventSink>(
     config: &ClusterConfig,
     sink: &mut S,
 ) -> (Telemetry, SimReport) {
-    let mut policy = make_policy(name, trace);
+    let mut policy =
+        build_policy(name, Some(trace)).expect("policy names are validated at startup");
     let mut telemetry = Telemetry::new(config.interval);
     let mut tee = Tee(&mut telemetry, sink);
     let report =
@@ -701,16 +679,11 @@ fn print_stress_line(report: &SimReport, elapsed: std::time::Duration) {
 fn print_report_summary(report: &SimReport) {
     println!(
         "simulator: mean service {:.4}s  warm fraction {:.3}  spend ${:.6}  \
-         evictions {}  decision overhead {:.2}us/invocation",
+         evictions {}",
         report.mean_service_time_secs(),
         report.warm_fraction(),
         report.keep_alive_spend.as_dollars(),
         report.evictions,
-        if report.records.is_empty() {
-            0.0
-        } else {
-            report.decision_time.as_secs_f64() * 1e6 / report.records.len() as f64
-        },
     );
     println!();
 }

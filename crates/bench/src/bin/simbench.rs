@@ -75,15 +75,13 @@ use std::time::Instant;
 
 use bench::{BenchScenario, StreamScenario};
 use cc_bound::{measured_cost_of_report, GapReport, HindsightInput, NanoCost};
-use cc_policies::{FaasCache, IceBreaker, Oracle, SitW};
+use cc_experiments::{build_policy, PolicyError, POLICY_NAMES};
 use cc_shard::{run_sharded, run_sharded_jsonl, NullSinkFactory, ShardedRunConfig};
 use cc_sim::{
-    ChannelSink, ChromeTraceSink, FixedKeepAlive, JsonlSink, NullProfiler, NullSink,
-    ParallelOptions, Profiler, SamplingSink, Scheduler, SimReport, Simulation, SliceSource,
-    WallProfiler,
+    ChannelSink, ChromeTraceSink, JsonlSink, NullProfiler, NullSink, ParallelOptions, Profiler,
+    SamplingSink, Scheduler, SimReport, Simulation, SliceSource, WallProfiler,
 };
-use cc_trace::Trace;
-use codecrunch::CodeCrunch;
+use serde_json::Value;
 
 /// With the `alloc-profile` feature, every allocation in this binary is
 /// counted and attributed to the active profiling phase.
@@ -116,41 +114,13 @@ impl SinkMode {
     }
 }
 
+/// Every policy name is checked before any scenario is built.
+const VALIDATED: &str = "policy names are validated at startup";
+
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!("{USAGE}");
     std::process::exit(2);
-}
-
-/// The six policies the bench sweeps, in canonical order.
-const POLICY_NAMES: [&str; 6] = [
-    "fixed_keepalive",
-    "sitw",
-    "faascache",
-    "icebreaker",
-    "oracle",
-    "codecrunch",
-];
-
-/// Builds a policy by name. Runs inside worker threads in sharded mode, so
-/// it takes the trace rather than capturing pre-built boxes. The trace is
-/// `None` for streaming scenarios, where the invocation stream is never
-/// materialized — the clairvoyant oracle is unavailable there.
-fn make_policy(name: &str, trace: Option<&Trace>) -> Box<dyn Scheduler> {
-    match name {
-        "fixed_keepalive" => Box::new(FixedKeepAlive::ten_minutes()),
-        "sitw" => Box::new(SitW::new()),
-        "faascache" => Box::new(FaasCache::new()),
-        "icebreaker" => Box::new(IceBreaker::new()),
-        "oracle" => match trace {
-            Some(trace) => Box::new(Oracle::new(trace)),
-            None => usage_error(
-                "oracle needs a materialized trace (not available with --scenario stream|1m)",
-            ),
-        },
-        "codecrunch" => Box::new(CodeCrunch::new()),
-        other => panic!("unknown policy {other:?}"),
-    }
 }
 
 /// Which scenario family the bench drives.
@@ -303,12 +273,23 @@ fn main() {
     if !gap_ceilings.is_empty() && !gap {
         usage_error("--gap-ceiling needs --gap");
     }
-    for (name, _) in &gap_ceilings {
-        if !POLICY_NAMES.contains(&name.as_str()) {
-            usage_error(&format!(
-                "--gap-ceiling names unknown policy {name:?} (known: {POLICY_NAMES:?})"
-            ));
+    // Every named policy is checked before any scenario is built: the 1M
+    // build alone takes seconds. Streaming scenarios never materialize a
+    // trace, so the Oracle cannot run there.
+    let streaming = matches!(scenario_name.as_str(), "stream" | "1m");
+    let ceiling_names = gap_ceilings.iter().map(|(name, _)| name);
+    for name in policy_filter.iter().flatten().chain(ceiling_names) {
+        match build_policy(name, None) {
+            Err(PolicyError::NeedsTrace) if !streaming => {}
+            Err(e) => usage_error(&e.to_string()),
+            Ok(_) => {}
         }
+    }
+    if streaming && workers_opt.is_none() {
+        usage_error("streaming scenarios run on the intra-run pipeline; add --workers N");
+    }
+    if gap && streaming {
+        usage_error("--gap prices a materialized trace; streaming scenarios never build one");
     }
 
     // Profiling session: discard any residue, arm the DynScope probe sites,
@@ -334,12 +315,6 @@ fn main() {
         "1m" => Bench::Stream(StreamScenario::million()),
         _ => unreachable!("scenario name validated at parse time"),
     };
-    if matches!(bench, Bench::Stream(_)) && workers_opt.is_none() {
-        usage_error("streaming scenarios run on the intra-run pipeline; add --workers N");
-    }
-    if gap && matches!(bench, Bench::Stream(_)) {
-        usage_error("--gap prices a materialized trace; streaming scenarios never build one");
-    }
     match &bench {
         Bench::Batch(scenario) => eprintln!(
             "scenario: {scenario_name} ({} functions, {} invocations, {} nodes), sink: {}",
@@ -358,15 +333,6 @@ fn main() {
         ),
     }
 
-    if let Some(filter) = &policy_filter {
-        for name in filter {
-            if !POLICY_NAMES.contains(&name.as_str()) {
-                usage_error(&format!(
-                    "unknown policy {name:?} (known: {POLICY_NAMES:?})"
-                ));
-            }
-        }
-    }
     let selected: Vec<&str> = POLICY_NAMES
         .iter()
         .copied()
@@ -375,7 +341,7 @@ fn main() {
             // Streaming scale defaults to the cheapest policy: the point
             // is the engine pipeline, not a policy sweep, and the oracle
             // cannot run without a materialized trace anyway.
-            None if matches!(bench, Bench::Stream(_)) => *name == "fixed_keepalive",
+            None if streaming => *name == "fixed_keepalive",
             None => true,
         })
         .collect();
@@ -490,7 +456,9 @@ fn main() {
             unprofiled(|| {
                 run_once(
                     scenario,
-                    make_policy(name, Some(&scenario.trace)).as_mut(),
+                    build_policy(name, Some(&scenario.trace))
+                        .expect(VALIDATED)
+                        .as_mut(),
                     sink,
                     audit,
                     false,
@@ -502,7 +470,9 @@ fn main() {
                 let started = Instant::now();
                 let d = run_once(
                     scenario,
-                    make_policy(name, Some(&scenario.trace)).as_mut(),
+                    build_policy(name, Some(&scenario.trace))
+                        .expect(VALIDATED)
+                        .as_mut(),
                     sink,
                     audit,
                     profiling,
@@ -604,9 +574,7 @@ fn main() {
     };
 
     if let Some(path) = digests_match {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| usage_error(&format!("cannot read digest file {path:?}: {e}")));
-        let reference = parse_digests(&text);
+        let reference = parse_digests(&read_record(&path));
         if reference.is_empty() {
             usage_error(&format!("no report_digest entries in {path:?}"));
         }
@@ -627,9 +595,7 @@ fn main() {
     }
 
     if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| usage_error(&format!("cannot read baseline {path:?}: {e}")));
-        let reference = parse_baseline(&text);
+        let reference = parse_baseline(&read_record(&path));
         if reference.is_empty() {
             usage_error(&format!("no per-policy throughput entries in {path:?}"));
         }
@@ -690,7 +656,7 @@ fn gap_pass(
     let reference = GapReport::for_input(&input);
     let lambda = reference.lambda_nanos;
     let price = |name: &str| -> NanoCost {
-        let mut policy = make_policy(name, Some(&scenario.trace));
+        let mut policy = build_policy(name, Some(&scenario.trace)).expect(VALIDATED);
         let report = Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload)
             .run(policy.as_mut());
         measured_cost_of_report(&report, lambda)
@@ -808,36 +774,49 @@ fn unprofiled<T>(f: impl FnOnce() -> T) -> T {
     result
 }
 
-/// Pulls `(policy, invocations_per_sec)` pairs out of a recorded
-/// `BENCH_sim.json` with a line scan — the vendored `serde_json` has no
-/// parser, and the schema is shallow enough that one is not needed.
-/// Accepts both this binary's output (`invocations_per_sec`) and the
-/// annotated before/after variant (`after_invocations_per_sec`).
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    let mut pairs = Vec::new();
-    let mut policy: Option<String> = None;
-    for line in text.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("\"policy\":") {
-            policy = Some(
-                rest.trim()
-                    .trim_end_matches(',')
-                    .trim_matches('"')
-                    .to_string(),
-            );
-        } else if let Some(rest) = line
-            .strip_prefix("\"after_invocations_per_sec\":")
-            .or_else(|| line.strip_prefix("\"invocations_per_sec\":"))
-        {
-            if let (Some(name), Ok(value)) = (
-                policy.take(),
-                rest.trim().trim_end_matches(',').parse::<f64>(),
-            ) {
-                pairs.push((name, value));
-            }
-        }
-    }
-    pairs
+/// Reads a recorded `BENCH_sim.json` (this binary's output or the
+/// annotated before/after record) as a JSON document.
+fn read_record(path: &str) -> Value {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| usage_error(&format!("cannot read {path:?}: {e}")));
+    serde_json::from_str(&text).unwrap_or_else(|e| usage_error(&format!("{path:?}: {e}")))
+}
+
+/// The `(policy, field)` pairs of a record's top-level `results[]`, taking
+/// the first of `keys` each entry has. Nested `results` arrays (the
+/// `sharded` and `parallel` blocks) are other scenarios and are ignored.
+fn recorded<T>(
+    record: &Value,
+    keys: &[&str],
+    read: impl Fn(&Value) -> Option<T>,
+) -> Vec<(String, T)> {
+    record["results"]
+        .as_array()
+        .into_iter()
+        .flatten()
+        .filter_map(|entry| {
+            let value = keys.iter().find_map(|&key| entry.get(key))?;
+            Some((entry["policy"].as_str()?.to_string(), read(value)?))
+        })
+        .collect()
+}
+
+/// Recorded throughput per policy: `after_invocations_per_sec` in the
+/// annotated record, `invocations_per_sec` in this binary's output.
+fn parse_baseline(record: &Value) -> Vec<(String, f64)> {
+    recorded(
+        record,
+        &["after_invocations_per_sec", "invocations_per_sec"],
+        Value::as_f64,
+    )
+}
+
+/// Recorded `report_digest` per policy (hex strings, `0x`-prefixed).
+fn parse_digests(record: &Value) -> Vec<(String, u64)> {
+    recorded(record, &["report_digest"], |v| {
+        let hex = v.as_str()?;
+        u64::from_str_radix(hex.strip_prefix("0x").unwrap_or(hex), 16).ok()
+    })
 }
 
 /// One replay on the intra-run parallel engine. Returns
@@ -867,7 +846,7 @@ fn parallel_once_p<P: Profiler>(
 ) -> (u64, u64, u64) {
     match bench {
         Bench::Batch(s) => {
-            let mut policy = make_policy(name, Some(&s.trace));
+            let mut policy = build_policy(name, Some(&s.trace)).expect(VALIDATED);
             run_parallel_once::<_, P>(
                 &s.config,
                 SliceSource::from_trace(&s.trace),
@@ -879,7 +858,7 @@ fn parallel_once_p<P: Profiler>(
             )
         }
         Bench::Stream(s) => {
-            let mut policy = make_policy(name, None);
+            let mut policy = build_policy(name, None).expect(VALIDATED);
             // Per-invocation records at streaming scale would defeat the
             // constant-memory point; the digest then covers stats only.
             let options = options.clone().without_records();
@@ -1061,7 +1040,8 @@ fn sharded_sweep_p<P: Profiler>(
                 .map(|&name| {
                     move |_sink: &mut NullSink| {
                         let shard_started = Instant::now();
-                        let mut policy = make_policy(name, Some(&scenario.trace));
+                        let mut policy =
+                            build_policy(name, Some(&scenario.trace)).expect(VALIDATED);
                         let report = Simulation::new(
                             scenario.config.clone(),
                             &scenario.trace,
@@ -1086,7 +1066,8 @@ fn sharded_sweep_p<P: Profiler>(
                 .map(|&name| {
                     move |sink: &mut SamplingSink<ChannelSink>| {
                         let shard_started = Instant::now();
-                        let mut policy = make_policy(name, Some(&scenario.trace));
+                        let mut policy =
+                            build_policy(name, Some(&scenario.trace)).expect(VALIDATED);
                         let report = Simulation::new(
                             scenario.config.clone(),
                             &scenario.trace,
@@ -1136,27 +1117,35 @@ fn sharded_sweep_p<P: Profiler>(
     (started.elapsed().as_secs_f64(), per_shard)
 }
 
-/// Pulls `(policy, report_digest)` pairs out of a recorded
-/// `BENCH_sim.json` with the same line scan as [`parse_baseline`].
-fn parse_digests(text: &str) -> Vec<(String, u64)> {
-    let mut pairs = Vec::new();
-    let mut policy: Option<String> = None;
-    for line in text.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("\"policy\":") {
-            policy = Some(
-                rest.trim()
-                    .trim_end_matches(',')
-                    .trim_matches('"')
-                    .to_string(),
-            );
-        } else if let Some(rest) = line.strip_prefix("\"report_digest\":") {
-            let token = rest.trim().trim_end_matches(',').trim_matches('"');
-            let token = token.strip_prefix("0x").unwrap_or(token);
-            if let (Some(name), Ok(value)) = (policy.take(), u64::from_str_radix(token, 16)) {
-                pairs.push((name, value));
-            }
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_record_yields_exactly_its_six_results() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
+        let record = read_record(path);
+        assert_eq!(
+            parse_baseline(&record),
+            [
+                ("fixed_keepalive", 358961.9),
+                ("sitw", 349504.9),
+                ("faascache", 357978.2),
+                ("icebreaker", 318340.5),
+                ("oracle", 293537.9),
+                ("codecrunch", 306029.6),
+            ]
+            .map(|(name, value)| (name.to_string(), value))
+        );
     }
-    pairs
+
+    #[test]
+    fn digests_come_from_top_level_results_only() {
+        let record = serde_json::from_str(
+            r#"{"results": [{"policy": "sitw", "report_digest": "0x00000000000000ff"}],
+                "parallel": {"results": [{"policy": "oracle", "report_digest": "0x1"}]}}"#,
+        )
+        .unwrap();
+        assert_eq!(parse_digests(&record), [("sitw".to_string(), 0xff)]);
+    }
 }

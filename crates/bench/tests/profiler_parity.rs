@@ -10,34 +10,11 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use bench::BenchScenario;
-use cc_policies::{FaasCache, IceBreaker, Oracle, SitW};
+use cc_experiments::{build_policy, POLICY_NAMES};
 use cc_sim::{
-    run_parallel_profiled, FixedKeepAlive, JsonlSink, NullProfiler, ParallelOptions, Profiler,
-    Scheduler, Simulation, SliceSource, WallProfiler,
+    run_parallel_profiled, JsonlSink, NullProfiler, ParallelOptions, Profiler, Simulation,
+    SliceSource, WallProfiler,
 };
-use cc_trace::Trace;
-use codecrunch::CodeCrunch;
-
-const POLICIES: [&str; 6] = [
-    "fixed_keepalive",
-    "sitw",
-    "faascache",
-    "icebreaker",
-    "oracle",
-    "codecrunch",
-];
-
-fn make_policy(name: &str, trace: &Trace) -> Box<dyn Scheduler> {
-    match name {
-        "fixed_keepalive" => Box::new(FixedKeepAlive::ten_minutes()),
-        "sitw" => Box::new(SitW::new()),
-        "faascache" => Box::new(FaasCache::new()),
-        "icebreaker" => Box::new(IceBreaker::new()),
-        "oracle" => Box::new(Oracle::new(trace)),
-        "codecrunch" => Box::new(CodeCrunch::new()),
-        other => panic!("unknown policy {other:?}"),
-    }
-}
 
 /// The wall profiler aggregates into process-global state; serialize every
 /// test that records or harvests it.
@@ -48,7 +25,7 @@ fn lock() -> MutexGuard<'static, ()> {
 
 /// One serial replay under profiler `P`: `(report digest, jsonl bytes)`.
 fn serial_run<P: Profiler>(scenario: &BenchScenario, name: &str) -> (u64, Vec<u8>) {
-    let mut policy = make_policy(name, &scenario.trace);
+    let mut policy = build_policy(name, Some(&scenario.trace)).expect("registered policy");
     let mut sink = JsonlSink::new(Vec::new());
     let report = Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload)
         .run_with_sink_profiled::<_, P>(policy.as_mut(), &mut sink);
@@ -63,7 +40,7 @@ fn parallel_run<P: Profiler>(
     name: &str,
     workers: usize,
 ) -> (u64, u64, Vec<u8>) {
-    let mut policy = make_policy(name, &scenario.trace);
+    let mut policy = build_policy(name, Some(&scenario.trace)).expect("registered policy");
     let options = ParallelOptions::default().with_workers(workers);
     let (outcome, bytes) = run_parallel_profiled::<_, _, P>(
         &scenario.config,
@@ -85,7 +62,7 @@ fn parallel_run<P: Profiler>(
 fn serial_replays_are_bit_identical_under_the_wall_profiler() {
     let _guard = lock();
     let scenario = BenchScenario::new();
-    for name in POLICIES {
+    for name in POLICY_NAMES {
         let (null_digest, null_bytes) = serial_run::<NullProfiler>(&scenario, name);
         let (wall_digest, wall_bytes) = serial_run::<WallProfiler>(&scenario, name);
         assert_eq!(
@@ -104,7 +81,7 @@ fn serial_replays_are_bit_identical_under_the_wall_profiler() {
 fn parallel_replays_are_bit_identical_under_the_wall_profiler() {
     let _guard = lock();
     let scenario = BenchScenario::new();
-    for name in POLICIES {
+    for name in POLICY_NAMES {
         let (null_digest, null_tel, null_bytes) = parallel_run::<NullProfiler>(&scenario, name, 4);
         let (wall_digest, wall_tel, wall_bytes) = parallel_run::<WallProfiler>(&scenario, name, 4);
         assert_eq!(

@@ -12,12 +12,9 @@
 use serde_json::json;
 
 use cc_bound::{local_search_upper_bound, segment_lower_bound, GapReport, HindsightInput};
-use cc_policies::{FaasCache, IceBreaker, Oracle, SitW};
-use cc_sim::{FixedKeepAlive, Scheduler};
-use codecrunch::CodeCrunch;
 
 use crate::common::{run_policy, ExperimentOutput, Scale};
-use crate::Experiment;
+use crate::{build_policy, Experiment, POLICY_NAMES};
 
 /// The gap-analysis experiment.
 pub struct GapAnalysis;
@@ -41,15 +38,6 @@ impl Experiment for GapAnalysis {
         let reference = GapReport::for_input(&input);
         let segment = segment_lower_bound(&input, 8);
 
-        let mut policies: Vec<Box<dyn Scheduler>> = vec![
-            Box::new(FixedKeepAlive::ten_minutes()),
-            Box::new(SitW::new()),
-            Box::new(FaasCache::new()),
-            Box::new(IceBreaker::new()),
-            Box::new(Oracle::new(&trace)),
-            Box::new(CodeCrunch::new()),
-        ];
-
         let mut lines = vec![
             format!(
                 "lower bound: DP {} nano-units (segment relaxation {}, λ = {} n/p$)",
@@ -63,7 +51,8 @@ impl Experiment for GapAnalysis {
         let mut rows = Vec::new();
         let mut min_gap_pct = f64::INFINITY;
         let mut ub_of_best: Option<u128> = None;
-        for policy in policies.iter_mut() {
+        for name in POLICY_NAMES {
+            let mut policy = build_policy(name, Some(&trace)).expect("registered policy");
             let report = run_policy(policy.as_mut(), &config, &trace, &workload);
             let measured = cc_bound::measured_cost_of_report(&report, reference.lambda_nanos);
             let row = reference.policy(&report.policy, measured);

@@ -32,6 +32,7 @@ mod fig7;
 mod fig8;
 mod fig9;
 mod gap;
+mod policies;
 mod tab_codec_choice;
 mod tab_microvm;
 mod tab_overhead;
@@ -41,6 +42,7 @@ mod tab_short_fns;
 mod tab_startkinds;
 
 pub use common::{enable_telemetry, ExperimentOutput, Scale};
+pub use policies::{build_policy, PolicyError, POLICY_NAMES};
 
 /// A runnable paper experiment.
 pub trait Experiment {

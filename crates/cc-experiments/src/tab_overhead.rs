@@ -8,15 +8,19 @@
 //! interval. Wall-clock percentages are host-dependent; the reproducible
 //! claim is the *ordering* and the growth trend, reported here as
 //! microseconds of decision time per invocation.
+//!
+//! Decision time is cc-prof's `policy_decision` phase: each replay runs
+//! under [`WallProfiler`], whose span wraps every `Scheduler` callback.
+//! These replays therefore skip `--telemetry` export, which would add sink
+//! work to the timed run.
 
 use serde_json::json;
 
-use cc_policies::{FaasCache, IceBreaker, SitW};
-use cc_sim::Scheduler;
-use codecrunch::CodeCrunch;
+use cc_prof::Phase;
+use cc_sim::{NullSink, Simulation, WallProfiler};
 
-use crate::common::{run_policy, ExperimentOutput, Scale};
-use crate::Experiment;
+use crate::common::{ExperimentOutput, Scale};
+use crate::{build_policy, Experiment};
 
 /// Overhead table experiment.
 pub struct TabOverhead;
@@ -64,16 +68,16 @@ impl Experiment for TabOverhead {
             let invocations = trace.invocations().len() as f64;
 
             let mut measurements = Vec::new();
-            let mut policies: Vec<Box<dyn Scheduler>> = vec![
-                Box::new(SitW::new()),
-                Box::new(FaasCache::new()),
-                Box::new(IceBreaker::new()),
-                Box::new(CodeCrunch::new()),
-            ];
-            for policy in policies.iter_mut() {
-                let report = run_policy(policy.as_mut(), &config, &trace, &workload);
-                let micros = report.decision_time.as_secs_f64() * 1e6 / invocations.max(1.0);
-                measurements.push((report.policy.clone(), micros));
+            for name in ["sitw", "faascache", "icebreaker", "codecrunch"] {
+                let mut policy = build_policy(name, None).expect("registered policy");
+                cc_prof::reset();
+                let report = Simulation::new(config.clone(), &trace, &workload)
+                    .run_with_sink_profiled::<_, WallProfiler>(policy.as_mut(), &mut NullSink);
+                let decision_ns = cc_prof::take_profile(name, 0)
+                    .row(Phase::PolicyDecision)
+                    .map_or(0, |row| row.total_ns);
+                let micros = decision_ns as f64 / 1e3 / invocations.max(1.0);
+                measurements.push((report.policy, micros));
             }
             lines.push(format!(
                 "{:<10} {:>12.2} {:>12.2} {:>12.2} {:>12.2}",

@@ -1,19 +1,17 @@
-//! Self-profile JSON: a stable-key-order writer and a minimal parser.
+//! Self-profile JSON: a stable-key-order writer and its reader.
 //!
 //! The writer emits keys in one fixed order with one phase/counter object
 //! per line, so profiles diff cleanly under `git diff` and line tools.
-//! The parser is a small recursive-descent JSON reader specialized to the
-//! needs of `ccprof diff` (the workspace's vendored serde_json stand-in
-//! serializes but does not parse); it accepts any standard JSON document
-//! and maps the known keys, ignoring unknown ones so older readers accept
-//! newer profiles.
+//! The reader parses with the workspace's `serde_json` and maps the known
+//! keys, ignoring unknown ones so older readers accept newer profiles.
 //!
 //! Wall-trace spans are deliberately *not* part of this document — they go
 //! to the Perfetto export — so baseline profiles stay small enough to
 //! commit.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use serde_json::Value;
 
 use crate::phase::{PerfCounter, Phase};
 use crate::profile::{AllocSummary, PhaseRow, SelfProfile, ThreadInfo};
@@ -131,249 +129,9 @@ fn quote(s: &str) -> String {
     out
 }
 
-/// A parsed JSON value (just enough structure for profile documents).
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(BTreeMap<String, Value>),
-}
-
-impl Value {
-    fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(map) => map.get(key),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, what: &str) -> String {
-        format!("json parse error at byte {}: {what}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", byte as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| self.err("bad number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|b| (b & 0xC0) == 0x80) {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            map.insert(key, self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(map));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-/// Parses one complete JSON document (a single value, nothing after it).
-fn parse_document(text: &str) -> Result<Value, String> {
-    let mut parser = Parser::new(text);
-    let root = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.err("trailing content"));
-    }
-    Ok(root)
-}
-
-/// Checks that `text` is one well-formed JSON document, of any shape —
-/// e.g. a hand-maintained benchmark record. The error names the byte
-/// offset of the first problem.
-pub fn validate_json(text: &str) -> Result<(), String> {
-    parse_document(text).map(|_| ())
-}
-
 /// Parses a self-profile JSON document produced by [`to_json`].
 pub fn from_json(text: &str) -> Result<SelfProfile, String> {
-    let root = parse_document(text)?;
+    let root = serde_json::from_str(text).map_err(|e| e.to_string())?;
     let version = root
         .get("cc_prof")
         .and_then(Value::as_u64)
@@ -384,7 +142,12 @@ pub fn from_json(text: &str) -> Result<SelfProfile, String> {
     let u64_field = |key: &str| root.get(key).and_then(Value::as_u64).unwrap_or(0);
 
     let mut phases = Vec::new();
-    for item in root.get("phases").and_then(Value::as_arr).unwrap_or(&[]) {
+    for item in root
+        .get("phases")
+        .and_then(Value::as_array)
+        .into_iter()
+        .flatten()
+    {
         let label = item
             .get("phase")
             .and_then(Value::as_str)
@@ -405,7 +168,12 @@ pub fn from_json(text: &str) -> Result<SelfProfile, String> {
         });
     }
     let mut counters = Vec::new();
-    for item in root.get("counters").and_then(Value::as_arr).unwrap_or(&[]) {
+    for item in root
+        .get("counters")
+        .and_then(Value::as_array)
+        .into_iter()
+        .flatten()
+    {
         let label = item
             .get("counter")
             .and_then(Value::as_str)
@@ -430,7 +198,12 @@ pub fn from_json(text: &str) -> Result<SelfProfile, String> {
         }
     });
     let mut threads = Vec::new();
-    for item in root.get("threads").and_then(Value::as_arr).unwrap_or(&[]) {
+    for item in root
+        .get("threads")
+        .and_then(Value::as_array)
+        .into_iter()
+        .flatten()
+    {
         threads.push(ThreadInfo {
             tid: item.get("tid").and_then(Value::as_u64).unwrap_or(0) as u32,
             label: item
@@ -554,17 +327,6 @@ mod tests {
         assert_eq!(parsed.label, "fwd-compat");
         assert_eq!(parsed.phases.len(), 1, "unknown phase skipped");
         assert!(parsed.counters.is_empty(), "unknown counter skipped");
-    }
-
-    #[test]
-    fn validate_accepts_any_document_and_rejects_malformed_ones() {
-        assert!(validate_json(r#"{"a": [1, -2.5e3, true, null], "b": {"c": "\u00e9"}}"#).is_ok());
-        assert!(validate_json("[]").is_ok());
-        // An object left open before the next key: the shape a hand edit
-        // of a nested record tends to break.
-        let unterminated = "{\"outer\": {\"inner\": 1\n \"next\": 2}}";
-        assert!(validate_json(unterminated).is_err());
-        assert!(validate_json("{} {}").is_err(), "trailing content");
     }
 
     #[test]

@@ -34,7 +34,7 @@ mod wall;
 
 pub use alloc::{alloc_totals, peak_live_bytes, peak_rss_bytes, CountingAllocator};
 pub use diff::{diff_profiles, DiffOptions, DiffReport, DiffRow, Verdict};
-pub use json::{from_json, to_json, validate_json, SCHEMA_VERSION};
+pub use json::{from_json, to_json, SCHEMA_VERSION};
 pub use phase::{PerfCounter, Phase};
 pub use profile::{fmt_bytes, fmt_ns, AllocSummary, PhaseRow, SelfProfile, ThreadInfo, TraceSpan};
 pub use trace::to_chrome_trace;

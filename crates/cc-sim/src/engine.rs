@@ -2,7 +2,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::time::{Duration, Instant};
 
 use cc_metrics::ServiceStats;
 use cc_obs::{Event as ObsEvent, EventSink, IntervalSample, NullSink, ReleaseReason};
@@ -322,7 +321,6 @@ struct Engine<'a, Src: ArrivalSource, S: EventSink, P: Profiler> {
     utilization_series: Vec<f64>,
     evictions: u64,
     dropped_prewarms: u64,
-    decision_time: Duration,
     completed: usize,
 }
 
@@ -401,7 +399,6 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             utilization_series: Vec::new(),
             evictions: 0,
             dropped_prewarms: 0,
-            decision_time: Duration::ZERO,
             completed: 0,
         }
     }
@@ -602,7 +599,6 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             utilization_series: std::mem::take(&mut self.utilization_series),
             evictions: self.evictions,
             dropped_prewarms: self.dropped_prewarms,
-            decision_time: self.decision_time,
         }
     }
 
@@ -626,9 +622,7 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
         }
         {
             let _decision = P::scope(Phase::PolicyDecision);
-            let started = Instant::now();
             policy.on_arrival(function, self.now);
-            self.decision_time += started.elapsed();
         }
 
         if self.pending.is_empty() && self.try_start(inv, policy) {
@@ -721,10 +715,7 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
     ) -> bool {
         let preferred = {
             let _decision = P::scope(Phase::PolicyDecision);
-            let started = Instant::now();
-            let preferred = policy.place(function, &self.view());
-            self.decision_time += started.elapsed();
-            preferred
+            policy.place(function, &self.view())
         };
 
         for arch in [preferred, preferred.other()] {
@@ -826,7 +817,6 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
         {
             let _decision = P::scope(Phase::PolicyDecision);
             let view = self.view();
-            let started = Instant::now();
             for id in self.pool.residents_of(node) {
                 if Some(id) == exclude {
                     continue;
@@ -837,7 +827,6 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
                     .expect("residency index must only hold live instances");
                 ranked.push((policy.eviction_rank(inst, &view), inst.seq, id));
             }
-            self.decision_time += started.elapsed();
         }
         if P::ENABLED {
             P::add(PerfCounter::EvictionsRanked, ranked.len() as u64);
@@ -937,9 +926,7 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
         }
         {
             let _decision = P::scope(Phase::PolicyDecision);
-            let started = Instant::now();
             policy.on_record(&record);
-            self.decision_time += started.elapsed();
         }
         if self.collect_records {
             self.records.push(record);
@@ -973,11 +960,7 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
         let arch = self.nodes[node.index()].arch;
         let decision = {
             let _decision = P::scope(Phase::PolicyDecision);
-            let view = self.view();
-            let started = Instant::now();
-            let d = policy.on_completion(function, arch, &view);
-            self.decision_time += started.elapsed();
-            d
+            policy.on_completion(function, arch, &self.view())
         };
         self.admit_warm(
             function,
@@ -1242,11 +1225,7 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
 
         let commands = {
             let _decision = P::scope(Phase::PolicyDecision);
-            let view = self.view();
-            let started = Instant::now();
-            let commands = policy.on_interval(&view);
-            self.decision_time += started.elapsed();
-            commands
+            policy.on_interval(&self.view())
         };
         if S::ENABLED {
             for round in policy.drain_optimizer_rounds() {

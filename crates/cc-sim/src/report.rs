@@ -37,14 +37,11 @@ pub struct SimReport {
     pub evictions: u64,
     /// Pre-warm commands dropped for lack of capacity.
     pub dropped_prewarms: u64,
-    /// Wall-clock time spent inside policy callbacks (decision overhead).
-    pub decision_time: std::time::Duration,
 }
 
 impl SimReport {
     /// FNV-1a digest over a canonical byte encoding of everything the
-    /// simulator measures (wall-clock `decision_time` excluded — it is the
-    /// one nondeterministic field).
+    /// simulator measures.
     ///
     /// This is the workspace's equality oracle: the golden-determinism
     /// tests pin per-policy constants to it, and `simbench --shards N`
@@ -109,19 +106,5 @@ impl SimReport {
             return 0.0;
         }
         self.stats.warm_fraction()
-    }
-
-    /// Decision overhead as a fraction of total simulated service time.
-    /// `0.0` (never NaN) for a zero-invocation run.
-    pub fn decision_overhead_fraction(&self) -> f64 {
-        let total_service: f64 = self
-            .records
-            .iter()
-            .map(|r| r.service_time().as_secs_f64())
-            .sum();
-        if total_service == 0.0 {
-            return 0.0;
-        }
-        self.decision_time.as_secs_f64() / total_service
     }
 }

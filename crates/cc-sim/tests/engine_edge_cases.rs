@@ -255,6 +255,5 @@ fn zero_invocation_run_reports_zero_ratios_not_nan() {
     assert!(report.records.is_empty());
     assert_eq!(report.mean_service_time_secs(), 0.0);
     assert_eq!(report.warm_fraction(), 0.0);
-    assert_eq!(report.decision_overhead_fraction(), 0.0);
     assert!(report.keep_alive_spend.is_zero());
 }

@@ -74,6 +74,7 @@ pub mod prelude {
         measured_cost_of_report, segment_lower_bound, GapReport, HindsightInput, PolicyGap,
     };
     pub use cc_compress::{Codec, CompressionModel, CrunchFast, EntropyClass, FsImage};
+    pub use cc_experiments::{build_policy, PolicyError, POLICY_NAMES};
     pub use cc_policies::{Enhanced, FaasCache, IceBreaker, Oracle, SitW};
     pub use cc_replay::{
         audit_log, audit_shard, decode_line, decode_stream, reconstruct, reconstruct_with_interval,

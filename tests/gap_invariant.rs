@@ -9,7 +9,11 @@
 //! pressure, both architectures, and a budget so all engine mechanisms
 //! (eviction, compression, pro-rata budget truncation) are in play.
 
+mod common;
+
 use codecrunch_suite::prelude::*;
+
+use common::policy_for;
 
 fn scenario() -> (Trace, Workload, ClusterConfig) {
     let trace = SyntheticTrace::builder()
@@ -26,34 +30,13 @@ fn scenario() -> (Trace, Workload, ClusterConfig) {
     (trace, workload, config)
 }
 
-const POLICIES: [&str; 6] = [
-    "fixed_keepalive",
-    "sitw",
-    "faascache",
-    "icebreaker",
-    "oracle",
-    "codecrunch",
-];
-
-fn make_policy(name: &str, trace: &Trace) -> Box<dyn Scheduler> {
-    match name {
-        "fixed_keepalive" => Box::new(FixedKeepAlive::ten_minutes()),
-        "sitw" => Box::new(SitW::new()),
-        "faascache" => Box::new(FaasCache::new()),
-        "icebreaker" => Box::new(IceBreaker::new()),
-        "oracle" => Box::new(Oracle::new(trace)),
-        "codecrunch" => Box::new(CodeCrunch::new()),
-        other => panic!("unknown policy {other}"),
-    }
-}
-
 #[test]
 fn no_policy_beats_the_lower_bound_serial() {
     let (trace, workload, config) = scenario();
     let input = HindsightInput::from_trace(&trace, &workload, &config).unwrap();
     let bound = GapReport::for_input(&input);
-    for name in POLICIES {
-        let mut policy = make_policy(name, &trace);
+    for name in POLICY_NAMES {
+        let mut policy = policy_for(name, &trace);
         let report = Simulation::new(config.clone(), &trace, &workload).run(policy.as_mut());
         let gap = bound.policy(name, measured_cost_of_report(&report, input.lambda_nanos));
         assert!(
@@ -71,12 +54,12 @@ fn no_policy_beats_the_lower_bound_sharded() {
     let (trace, workload, config) = scenario();
     let input = HindsightInput::from_trace(&trace, &workload, &config).unwrap();
     let bound = GapReport::for_input(&input);
-    let jobs: Vec<_> = POLICIES
+    let jobs: Vec<_> = POLICY_NAMES
         .iter()
         .map(|&name| {
             let (trace, workload, config) = (trace.clone(), workload.clone(), config.clone());
             move |_sink: &mut NullSink| {
-                let mut policy = make_policy(name, &trace);
+                let mut policy = policy_for(name, &trace);
                 Simulation::new(config, &trace, &workload).run(policy.as_mut())
             }
         })
@@ -108,7 +91,7 @@ fn bound_chain_is_ordered_on_the_scenario() {
     }
     // Seed the upper bound from a real recorded schedule and check it
     // brackets from above while staying under that run's measured cost.
-    let mut policy = make_policy("codecrunch", &trace);
+    let mut policy = policy_for("codecrunch", &trace);
     let report = Simulation::new(config, &trace, &workload).run(policy.as_mut());
     let upper = local_search_upper_bound(&input, &report.records);
     assert!(dp <= upper);

@@ -14,7 +14,11 @@
 //! with `cargo test -q golden -- --nocapture` and update them in the same
 //! commit that changes behavior, explaining why.
 
+mod common;
+
 use codecrunch_suite::prelude::*;
+
+use common::{policy_under_test, scenario};
 
 /// Canonical report digest, now provided by [`SimReport::digest`] so the
 /// bench binaries and the sharded driver share the exact encoding this
@@ -24,40 +28,9 @@ fn report_digest(report: &SimReport) -> u64 {
     report.digest()
 }
 
-/// Mid-size scenario: large enough to exercise eviction, make-room,
-/// compression transitions, budget caps, and pending queues on both
-/// architectures; small enough to run in seconds in debug builds.
-fn scenario() -> (Trace, Workload, ClusterConfig) {
-    let trace = SyntheticTrace::builder()
-        .functions(60)
-        .duration(SimDuration::from_mins(90))
-        .seed(4242)
-        .build();
-    let workload = Workload::from_trace(
-        &trace,
-        &Catalog::paper_catalog(),
-        &CompressionModel::paper_default(),
-    );
-    let config = ClusterConfig::small(2, 2).with_warm_memory_fraction(0.35);
-    (trace, workload, config)
-}
-
 fn run(policy: &mut dyn Scheduler) -> SimReport {
     let (trace, workload, config) = scenario();
     Simulation::new(config, &trace, &workload).run(policy)
-}
-
-fn policy_under_test(name: &str) -> Box<dyn Scheduler> {
-    let (trace, _, _) = scenario();
-    match name {
-        "fixed_keepalive" => Box::new(FixedKeepAlive::ten_minutes()),
-        "sitw" => Box::new(SitW::new()),
-        "faascache" => Box::new(FaasCache::new()),
-        "icebreaker" => Box::new(IceBreaker::new()),
-        "oracle" => Box::new(Oracle::new(&trace)),
-        "codecrunch" => Box::new(CodeCrunch::new()),
-        other => panic!("unknown policy {other}"),
-    }
 }
 
 /// Golden digests captured from the pre-refactor engine (hash-map pool +

@@ -8,51 +8,14 @@
 //! engine — report digest, telemetry digest, and the JSONL event stream —
 //! and the stream still satisfies the cc-replay invariant auditor.
 
+mod common;
+
 use codecrunch_suite::prelude::*;
 use codecrunch_suite::sim::{ClusterView, Command, KeepDecision};
 
-/// The golden-determinism scenario (tests/golden_determinism.rs), reused so
-/// the parallel digests are pinned against the same constants.
-fn scenario() -> (Trace, Workload, ClusterConfig) {
-    let trace = SyntheticTrace::builder()
-        .functions(60)
-        .duration(SimDuration::from_mins(90))
-        .seed(4242)
-        .build();
-    let workload = Workload::from_trace(
-        &trace,
-        &Catalog::paper_catalog(),
-        &CompressionModel::paper_default(),
-    );
-    let config = ClusterConfig::small(2, 2).with_warm_memory_fraction(0.35);
-    (trace, workload, config)
-}
-
-fn policy_under_test(name: &str) -> Box<dyn Scheduler> {
-    let (trace, _, _) = scenario();
-    policy_for(name, &trace)
-}
-
-fn policy_for(name: &str, trace: &Trace) -> Box<dyn Scheduler> {
-    match name {
-        "fixed_keepalive" => Box::new(FixedKeepAlive::ten_minutes()),
-        "sitw" => Box::new(SitW::new()),
-        "faascache" => Box::new(FaasCache::new()),
-        "icebreaker" => Box::new(IceBreaker::new()),
-        "oracle" => Box::new(Oracle::new(trace)),
-        "codecrunch" => Box::new(CodeCrunch::new()),
-        other => panic!("unknown policy {other}"),
-    }
-}
-
-const POLICIES: [&str; 6] = [
-    "fixed_keepalive",
-    "sitw",
-    "faascache",
-    "icebreaker",
-    "oracle",
-    "codecrunch",
-];
+// The golden scenario, so the parallel digests are pinned against the
+// same constants as tests/golden_determinism.rs.
+use common::{policy_for, policy_under_test, scenario};
 
 /// Serial reference: report + JSONL bytes + telemetry digest in one
 /// instrumented run.
@@ -86,7 +49,7 @@ fn parallel_run(
 /// digest, and JSONL bytes all equal the serial run's.
 #[test]
 fn every_policy_matches_serial_at_every_worker_count() {
-    for name in POLICIES {
+    for name in POLICY_NAMES {
         let (serial_report, serial_bytes, serial_tel) =
             serial_reference(policy_under_test(name).as_mut());
         for workers in [1usize, 2, 3, 4, 8] {
@@ -233,7 +196,7 @@ mod randomized {
                 &Catalog::paper_catalog(),
                 &CompressionModel::paper_default(),
             );
-            let name = POLICIES[policy_index];
+            let name = POLICY_NAMES[policy_index];
             let config = ClusterConfig::small(2, 2).with_warm_memory_fraction(warm_fraction);
 
             let mut tee = Tee(JsonlSink::new(Vec::new()), Telemetry::new(config.interval));

@@ -9,47 +9,11 @@
 //! The stream must also pass the invariant auditor with zero violations,
 //! which is the golden guarantee the CI audit smoke step relies on.
 
+mod common;
+
 use codecrunch_suite::prelude::*;
 
-/// Same mid-size scenario the golden determinism tests pin: large enough
-/// to exercise eviction, compression, budget flow, and queueing across
-/// both architectures.
-fn scenario() -> (Trace, Workload, ClusterConfig) {
-    let trace = SyntheticTrace::builder()
-        .functions(60)
-        .duration(SimDuration::from_mins(90))
-        .seed(4242)
-        .build();
-    let workload = Workload::from_trace(
-        &trace,
-        &Catalog::paper_catalog(),
-        &CompressionModel::paper_default(),
-    );
-    let config = ClusterConfig::small(2, 2).with_warm_memory_fraction(0.35);
-    (trace, workload, config)
-}
-
-const POLICIES: [&str; 6] = [
-    "fixed_keepalive",
-    "sitw",
-    "faascache",
-    "icebreaker",
-    "oracle",
-    "codecrunch",
-];
-
-fn policy_under_test(name: &str) -> Box<dyn Scheduler> {
-    let (trace, _, _) = scenario();
-    match name {
-        "fixed_keepalive" => Box::new(FixedKeepAlive::ten_minutes()),
-        "sitw" => Box::new(SitW::new()),
-        "faascache" => Box::new(FaasCache::new()),
-        "icebreaker" => Box::new(IceBreaker::new()),
-        "oracle" => Box::new(Oracle::new(&trace)),
-        "codecrunch" => Box::new(CodeCrunch::new()),
-        other => panic!("unknown policy {other}"),
-    }
-}
+use common::{policy_under_test, scenario};
 
 /// Asserts the replayed accumulator equals the live one on every exposed
 /// surface: digest (every field), interval table, report, snapshot line.
@@ -81,7 +45,7 @@ fn assert_telemetry_equal(name: &str, live: &Telemetry, replayed: &Telemetry) {
 /// and the stream must satisfy every engine invariant.
 #[test]
 fn serial_replay_reproduces_live_telemetry_for_every_policy() {
-    for name in POLICIES {
+    for name in POLICY_NAMES {
         let (trace, workload, config) = scenario();
         let mut live = Telemetry::new(config.interval);
         let mut jsonl = JsonlSink::new(Vec::new());
@@ -128,7 +92,7 @@ fn shard_job<'a>(
 
 fn sharded_stream(workers: usize) -> (Vec<Telemetry>, String) {
     let (trace, workload, config) = scenario();
-    let jobs: Vec<_> = POLICIES
+    let jobs: Vec<_> = POLICY_NAMES
         .iter()
         .map(|&name| shard_job(name, &trace, &workload, &config))
         .collect();
@@ -162,7 +126,7 @@ fn sharded_replay_reproduces_live_telemetry_per_shard() {
 
     let log = decode_stream(&text_w1).expect("merged stream must decode");
     assert!(log.tagged, "multi-shard stream must carry shard markers");
-    assert_eq!(log.shards.len(), POLICIES.len());
+    assert_eq!(log.shards.len(), POLICY_NAMES.len());
 
     let audit = audit_log(&log, false);
     assert!(
@@ -171,7 +135,7 @@ fn sharded_replay_reproduces_live_telemetry_per_shard() {
         audit.summary()
     );
 
-    for ((shard, live), name) in log.shards.iter().zip(&live_w1).zip(POLICIES) {
+    for ((shard, live), name) in log.shards.iter().zip(&live_w1).zip(POLICY_NAMES) {
         let end = shard.end.expect("tagged shard must carry its end marker");
         assert_eq!(end.events, shard.events.len() as u64);
         assert_eq!(end.dropped, 0);

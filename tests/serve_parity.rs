@@ -12,46 +12,14 @@
 
 use std::sync::Arc;
 
+mod common;
+
 use codecrunch_suite::prelude::*;
 use codecrunch_suite::serve::QueueStats;
 
-/// The golden-determinism scenario (tests/golden_determinism.rs), reused
-/// so service-mode digests are pinned against the same constants.
-fn scenario() -> (Trace, Workload, ClusterConfig) {
-    let trace = SyntheticTrace::builder()
-        .functions(60)
-        .duration(SimDuration::from_mins(90))
-        .seed(4242)
-        .build();
-    let workload = Workload::from_trace(
-        &trace,
-        &Catalog::paper_catalog(),
-        &CompressionModel::paper_default(),
-    );
-    let config = ClusterConfig::small(2, 2).with_warm_memory_fraction(0.35);
-    (trace, workload, config)
-}
-
-fn policy_for(name: &str, trace: &Trace) -> Box<dyn Scheduler> {
-    match name {
-        "fixed_keepalive" => Box::new(FixedKeepAlive::ten_minutes()),
-        "sitw" => Box::new(SitW::new()),
-        "faascache" => Box::new(FaasCache::new()),
-        "icebreaker" => Box::new(IceBreaker::new()),
-        "oracle" => Box::new(Oracle::new(trace)),
-        "codecrunch" => Box::new(CodeCrunch::new()),
-        other => panic!("unknown policy {other}"),
-    }
-}
-
-const POLICIES: [&str; 6] = [
-    "fixed_keepalive",
-    "sitw",
-    "faascache",
-    "icebreaker",
-    "oracle",
-    "codecrunch",
-];
+// The golden scenario, so service-mode digests are pinned against the
+// same constants as tests/golden_determinism.rs.
+use common::{policy_for, scenario};
 
 /// Serial batch reference: report + JSONL bytes + telemetry digest.
 fn batch_reference(policy: &mut dyn Scheduler) -> (SimReport, Vec<u8>, u64) {
@@ -104,7 +72,7 @@ fn assert_lossless(stats: &QueueStats) {
 /// bytes to the batch engine.
 #[test]
 fn every_policy_serves_bit_identical_to_batch() {
-    for name in POLICIES {
+    for name in POLICY_NAMES {
         let (trace, workload, config) = scenario();
         let (batch_report, batch_bytes, batch_tel) =
             batch_reference(policy_for(name, &trace).as_mut());
@@ -251,7 +219,7 @@ fn drain_mid_interval_matches_batch_truncated_at_the_same_instant() {
         "the cut must land mid-interval for this test to mean anything"
     );
 
-    for name in POLICIES {
+    for name in POLICY_NAMES {
         // Batch comparator: arrivals strictly before the cut, horizon at
         // the cut.
         let kept: Vec<Invocation> = trace
