@@ -327,8 +327,13 @@ fn main() {
     println!("\n{}", telemetry.report());
     let stats = &outcome.queue;
     println!(
-        "ingestion: {} pushed, {} delivered, {} dropped at drain, peak depth {}",
-        stats.pushed, stats.delivered, stats.dropped_at_drain, stats.peak_depth
+        "ingestion: {} pushed, {} delivered, {} dropped at drain, {} out of order, \
+         peak depth {}",
+        stats.pushed,
+        stats.delivered,
+        stats.dropped_at_drain,
+        stats.rejected_out_of_order,
+        stats.peak_depth
     );
     let served_secs = outcome.horizon.as_secs_f64();
     println!(

@@ -5,8 +5,9 @@
 //! period with a Fourier transform over its per-minute invocation counts
 //! and pre-warms the function just before the next predicted invocation.
 //! This crate supplies that dependency: a [`Complex`] type, an in-place
-//! iterative Cooley–Tukey [`fft`]/[`ifft`] pair, a [`periodogram`], and
-//! [`dominant_period`] extraction.
+//! iterative Cooley–Tukey [`fft`]/[`ifft`] pair over a reusable
+//! [`FftPlan`], a [`periodogram`], and [`dominant_period`] extraction —
+//! allocation-free across calls through a [`PeriodFinder`].
 //!
 //! # Example
 //!
@@ -22,9 +23,11 @@
 #![warn(missing_docs)]
 
 mod complex;
+#[cfg(test)]
+mod reference;
 mod spectrum;
 mod transform;
 
 pub use complex::Complex;
-pub use spectrum::{dominant_period, periodogram};
-pub use transform::{dft_naive, fft, ifft};
+pub use spectrum::{dominant_period, periodogram, PeriodFinder};
+pub use transform::{dft_naive, fft, ifft, FftPlan};

@@ -1,7 +1,7 @@
 //! Periodogram and dominant-period extraction over invocation-count
 //! signals.
 
-use crate::{fft, Complex};
+use crate::transform::{Direction, FftPlan};
 
 /// Computes the one-sided periodogram (power per frequency bin) of a real
 /// signal.
@@ -39,16 +39,16 @@ pub fn periodogram(signal: &[f64]) -> Vec<f64> {
     }
     let mean = signal.iter().sum::<f64>() / signal.len() as f64;
     let padded = signal.len().next_power_of_two();
-    let mut data: Vec<Complex> = signal
+    let mut re = vec![0.0; padded];
+    for (slot, &v) in re.iter_mut().zip(signal) {
+        *slot = v - mean;
+    }
+    let mut im = vec![0.0; padded];
+    FftPlan::new(padded).forward(&mut re, &mut im);
+    re[..=padded / 2]
         .iter()
-        .map(|&v| Complex::from_real(v - mean))
-        .chain(std::iter::repeat(Complex::ZERO))
-        .take(padded)
-        .collect();
-    fft(&mut data);
-    data[..=padded / 2]
-        .iter()
-        .map(|z| z.norm_sq() / padded as f64)
+        .zip(&im)
+        .map(|(&re, &im)| (re * re + im * im) / padded as f64)
         .collect()
 }
 
@@ -67,6 +67,9 @@ pub fn periodogram(signal: &[f64]) -> Vec<f64> {
 /// too short, constant, or its best normalized autocorrelation falls
 /// below 0.25 (noise).
 ///
+/// Builds a fresh [`PeriodFinder`] per call; reuse one finder to analyse
+/// many signals without reallocating.
+///
 /// # Example
 ///
 /// ```
@@ -76,47 +79,220 @@ pub fn periodogram(signal: &[f64]) -> Vec<f64> {
 /// assert_eq!(dominant_period(&noisy_constant), None);
 /// ```
 pub fn dominant_period(signal: &[f64]) -> Option<f64> {
-    let n = signal.len();
-    if n < 4 {
-        return None;
+    PeriodFinder::new().dominant_period(signal)
+}
+
+/// Reusable [`dominant_period`] state: one [`FftPlan`] per padded length
+/// seen so far and the transform's scratch buffers. After warm-up a call
+/// allocates nothing, and returns exactly what [`dominant_period`] does.
+///
+/// # Example
+///
+/// ```
+/// use cc_fft::PeriodFinder;
+///
+/// let mut finder = PeriodFinder::new();
+/// for minutes in [64usize, 128, 64] {
+///     let signal: Vec<f64> = (0..minutes).map(|i| if i % 8 == 0 { 1.0 } else { 0.0 }).collect();
+///     assert_eq!(finder.dominant_period(&signal), Some(8.0));
+/// }
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct PeriodFinder {
+    /// Plans by log2 of their length, built on first use.
+    plans: Vec<Option<FftPlan>>,
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl PeriodFinder {
+    /// A finder with no plans built yet.
+    pub fn new() -> PeriodFinder {
+        PeriodFinder::default()
     }
-    let mean = signal.iter().sum::<f64>() / n as f64;
-    // Zero-pad to 2n (next power of two) so the correlation is linear, not
-    // circular.
-    let padded = (2 * n).next_power_of_two();
-    let mut data: Vec<Complex> = signal
-        .iter()
-        .map(|&v| Complex::from_real(v - mean))
-        .chain(std::iter::repeat(Complex::ZERO))
-        .take(padded)
-        .collect();
-    fft(&mut data);
-    for v in data.iter_mut() {
-        *v = Complex::from_real(v.norm_sq());
+
+    /// [`dominant_period`] of `signal`, reusing this finder's plans and
+    /// buffers.
+    pub fn dominant_period(&mut self, signal: &[f64]) -> Option<f64> {
+        let n = signal.len();
+        if n < 4 {
+            return None;
+        }
+        let (lags, scale) = self.autocorrelation(signal);
+        let r0 = lags[0] * scale;
+        if r0 <= 1e-12 {
+            return None; // constant signal
+        }
+        // Strongest lag in [2, n/2]. The *biased* estimate (no overlap
+        // compensation) is deliberate: a spike train's autocorrelation is
+        // near-equal at every multiple of the fundamental, and the
+        // shrinking overlap at longer lags is exactly what tips the choice
+        // to the fundamental itself.
+        let max_lag = n / 2;
+        let (best_lag, best_value) = (2..=max_lag)
+            .map(|lag| (lag, (lags[lag] * scale) / r0))
+            .max_by(|a, b| a.1.total_cmp(&b.1))?;
+        if best_value < 0.25 {
+            return None;
+        }
+        Some(best_lag as f64)
     }
-    crate::ifft(&mut data);
-    let r0 = data[0].re;
-    if r0 <= 1e-12 {
-        return None; // constant signal
+
+    /// The linear autocorrelation of the mean-subtracted `signal` (at
+    /// least 4 samples): returns the unnormalized inverse transform's real
+    /// parts and the `1/len` factor that normalizes them. Lag `k`'s value
+    /// is `lags[k] * scale`; only the lags read are ever scaled.
+    fn autocorrelation(&mut self, signal: &[f64]) -> (&[f64], f64) {
+        let n = signal.len();
+        let mean = signal.iter().sum::<f64>() / n as f64;
+        // Zero-pad to 2n (next power of two) so the correlation is linear,
+        // not circular.
+        let padded = (2 * n).next_power_of_two();
+        let log2 = padded.trailing_zeros() as usize;
+        if self.plans.len() <= log2 {
+            self.plans.resize_with(log2 + 1, || None);
+        }
+        let plan = self.plans[log2].get_or_insert_with(|| FftPlan::new(padded));
+        let rev = plan.permutation();
+        let (re, im) = (&mut self.re, &mut self.im);
+        re.clear();
+        re.resize(padded, 0.0);
+        im.clear();
+        im.resize(padded, 0.0);
+        // Sample i goes straight to its bit-reversed slot, so the forward
+        // transform needs no permutation pass.
+        for (&v, &slot) in signal.iter().zip(rev) {
+            re[slot as usize] = v - mean;
+        }
+        plan.butterflies(re, im, Direction::Forward);
+        // The power spectrum |X|², written straight into bit-reversed order
+        // for the inverse transform (the permutation is an involution, so
+        // the pairs swap in place).
+        for (i, &j) in rev.iter().enumerate() {
+            let j = j as usize;
+            if i < j {
+                let (power_i, power_j) = (norm_sq(re, im, i), norm_sq(re, im, j));
+                re[i] = power_j;
+                re[j] = power_i;
+            } else if i == j {
+                re[i] = norm_sq(re, im, i);
+            }
+        }
+        im.fill(0.0);
+        plan.butterflies(re, im, Direction::Inverse);
+        (&self.re, 1.0 / padded as f64)
     }
-    // Strongest lag in [2, n/2]. The *biased* estimate (no overlap
-    // compensation) is deliberate: a spike train's autocorrelation is
-    // near-equal at every multiple of the fundamental, and the shrinking
-    // overlap at longer lags is exactly what tips the choice to the
-    // fundamental itself.
-    let max_lag = n / 2;
-    let (best_lag, best_value) = (2..=max_lag)
-        .map(|lag| (lag, data[lag].re / r0))
-        .max_by(|a, b| a.1.total_cmp(&b.1))?;
-    if best_value < 0.25 {
-        return None;
-    }
-    Some(best_lag as f64)
+}
+
+/// `|re[i] + i·im[i]|²`, as [`Complex::norm_sq`](crate::Complex::norm_sq)
+/// computes it.
+fn norm_sq(re: &[f64], im: &[f64], i: usize) -> f64 {
+    re[i] * re[i] + im[i] * im[i]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
+    use proptest::prelude::*;
+
+    /// An integer count signal of one of the shapes IceBreaker sees:
+    /// `kind` 0 is a spike train, 1 Poisson-like counts, 2 all zeros but
+    /// one sample.
+    fn count_signal(kind: u8, len: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        match kind % 3 {
+            0 => {
+                let period = 1 + next() as usize % 60;
+                let phase = next() as usize % period;
+                let amplitude = 1 + next() % 20;
+                (0..len)
+                    .map(|i| match (i + phase) % period {
+                        0 => amplitude as f64,
+                        _ => 0.0,
+                    })
+                    .collect()
+            }
+            1 => (0..len)
+                .map(|_| match next() % 100 {
+                    r if r < 50 => 0.0,
+                    r if r < 80 => 1.0,
+                    r if r < 95 => (2 + r % 3) as f64,
+                    r => (5 + r % 30) as f64,
+                })
+                .collect(),
+            _ => {
+                let mut signal = vec![0.0; len];
+                signal[next() as usize % len] = (1 + next() % 1000) as f64;
+                signal
+            }
+        }
+    }
+
+    /// Every lag in `[0, n/2]` the finder computes equals the original
+    /// pipeline's, bit for bit.
+    fn lags_match_reference(finder: &mut PeriodFinder, signal: &[f64]) -> Result<(), String> {
+        let expected = reference::autocorrelation(signal);
+        let (lags, scale) = finder.autocorrelation(signal);
+        for lag in 0..=signal.len() / 2 {
+            let ours = lags[lag] * scale;
+            if ours.to_bits() != expected[lag].re.to_bits() {
+                return Err(format!(
+                    "length {} lag {lag}: {ours} vs {}",
+                    signal.len(),
+                    expected[lag].re
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn every_length_to_600_is_bit_identical_to_the_reference() {
+        let mut finder = PeriodFinder::new();
+        for len in 4..=600 {
+            for kind in 0..3 {
+                let signal = count_signal(kind, len, len as u64 * 31 + kind as u64);
+                lags_match_reference(&mut finder, &signal).unwrap();
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn autocorrelation_lags_are_bit_identical_to_the_reference(
+            kind in 0u8..3,
+            len in 4usize..=600,
+            seed in any::<u64>(),
+        ) {
+            let signal = count_signal(kind, len, seed);
+            lags_match_reference(&mut PeriodFinder::new(), &signal)?;
+        }
+
+        #[test]
+        fn a_reused_finder_matches_the_free_function(
+            lens in prop::collection::vec(4usize..=600, 1..=12),
+            seed in any::<u64>(),
+        ) {
+            // One finder across changing lengths: plans are built, reused
+            // and revisited in arbitrary order.
+            let mut finder = PeriodFinder::new();
+            for (i, &len) in lens.iter().enumerate() {
+                let signal = count_signal(i as u8, len, seed ^ i as u64);
+                let expected = dominant_period(&signal);
+                prop_assert_eq!(finder.dominant_period(&signal), expected);
+                prop_assert_eq!(reference::dominant_period(&signal), expected);
+            }
+        }
+    }
 
     #[test]
     fn finds_exact_period() {

@@ -2,7 +2,7 @@
 
 use cc_types::FxHashMap;
 
-use cc_fft::dominant_period;
+use cc_fft::PeriodFinder;
 use cc_sim::{ClusterView, Command, KeepDecision, Scheduler};
 use cc_types::{Arch, FunctionId, SimDuration, SimTime};
 
@@ -29,6 +29,13 @@ pub struct IceBreaker {
     period: FxHashMap<FunctionId, Option<f64>>,
     /// Last arrival per function.
     last_arrival: FxHashMap<FunctionId, SimTime>,
+    /// Every function seen so far, sorted by id (the pre-warm order).
+    known: Vec<FunctionId>,
+    /// Functions first seen since the last tick, not yet merged into
+    /// `known`.
+    fresh: Vec<FunctionId>,
+    /// FFT plans and scratch reused by every refresh.
+    finder: PeriodFinder,
     /// Ticks between FFT refreshes.
     refresh_every: u64,
     tick: u64,
@@ -45,6 +52,9 @@ impl IceBreaker {
             pending_counts: FxHashMap::default(),
             period: FxHashMap::default(),
             last_arrival: FxHashMap::default(),
+            known: Vec::new(),
+            fresh: Vec::new(),
+            finder: PeriodFinder::new(),
             refresh_every: 5,
             tick: 0,
             post_completion_window: SimDuration::from_mins(2),
@@ -78,7 +88,9 @@ impl Scheduler for IceBreaker {
 
     fn on_arrival(&mut self, function: FunctionId, now: SimTime) {
         *self.pending_counts.entry(function).or_insert(0.0) += 1.0;
-        self.last_arrival.insert(function, now);
+        if self.last_arrival.insert(function, now).is_none() {
+            self.fresh.push(function);
+        }
     }
 
     fn place(&mut self, _function: FunctionId, view: &ClusterView<'_>) -> Arch {
@@ -107,22 +119,21 @@ impl Scheduler for IceBreaker {
 
     fn on_interval(&mut self, view: &ClusterView<'_>) -> Vec<Command> {
         self.tick += 1;
-        // Roll the per-minute counters forward.
-        let touched: Vec<FunctionId> = self.counts.keys().copied().collect();
-        for f in touched {
-            let pending = self.pending_counts.remove(&f).unwrap_or(0.0);
-            self.counts.get_mut(&f).expect("key exists").push(pending);
+        merge_sorted(&mut self.known, &mut self.fresh);
+        // Roll the per-minute counters forward: every known function gets
+        // this tick's count (a first sighting starts its history here).
+        for f in &self.known {
+            let pending = self.pending_counts.remove(f).unwrap_or(0.0);
+            self.counts.entry(*f).or_default().push(pending);
         }
-        for (f, pending) in self.pending_counts.drain() {
-            self.counts.entry(f).or_default().push(pending);
-        }
+        debug_assert!(self.pending_counts.is_empty());
 
         // Refresh the FFT predictions — deliberately over every function's
         // full history, reproducing IceBreaker's overhead profile.
         if self.tick.is_multiple_of(self.refresh_every) {
             for (f, signal) in &self.counts {
                 if signal.len() >= 8 {
-                    self.period.insert(*f, dominant_period(signal));
+                    self.period.insert(*f, self.finder.dominant_period(signal));
                 }
             }
         }
@@ -130,10 +141,8 @@ impl Scheduler for IceBreaker {
         // Pre-warm functions predicted to fire within the next interval.
         let horizon = view.now + view.config.interval * 2;
         let mut commands = Vec::new();
-        // Sorted for cross-run determinism (map iteration order is arbitrary).
-        let mut functions: Vec<FunctionId> = self.counts.keys().copied().collect();
-        functions.sort_unstable();
-        for f in functions {
+        // By function id, for cross-run determinism.
+        for &f in &self.known {
             if view.is_warm(f) {
                 continue;
             }
@@ -158,6 +167,30 @@ impl Scheduler for IceBreaker {
         }
         commands
     }
+}
+
+/// Merges the ids in `fresh` (unsorted, none already in `sorted`) into
+/// `sorted`, keeping it sorted, and empties `fresh`. Linear in the merged
+/// length plus a sort of `fresh`; allocates only when `sorted` grows.
+fn merge_sorted(sorted: &mut Vec<FunctionId>, fresh: &mut Vec<FunctionId>) {
+    if fresh.is_empty() {
+        return;
+    }
+    fresh.sort_unstable();
+    let (mut i, mut j) = (sorted.len(), fresh.len());
+    sorted.resize(i + j, FunctionId::default());
+    // Merge from the back: slot `i + j - 1` is free once both heads are
+    // read, so nothing is overwritten before it moves.
+    while j > 0 {
+        if i > 0 && sorted[i - 1] > fresh[j - 1] {
+            sorted[i + j - 1] = sorted[i - 1];
+            i -= 1;
+        } else {
+            sorted[i + j - 1] = fresh[j - 1];
+            j -= 1;
+        }
+    }
+    fresh.clear();
 }
 
 #[cfg(test)]
@@ -227,6 +260,23 @@ mod tests {
         let report =
             Simulation::new(ClusterConfig::small(2, 2), &trace, &workload).run(&mut policy);
         assert_eq!(report.records.len(), trace.invocations().len());
+    }
+
+    #[test]
+    fn merge_sorted_keeps_ids_sorted() {
+        let ids = |v: &[u32]| v.iter().map(|&i| FunctionId::new(i)).collect::<Vec<_>>();
+        let mut sorted = Vec::new();
+        for (fresh, expected) in [
+            (vec![], vec![]),
+            (vec![5, 1], vec![1, 5]),
+            (vec![3, 9, 0], vec![0, 1, 3, 5, 9]),
+            (vec![4, 2, 10], vec![0, 1, 2, 3, 4, 5, 9, 10]),
+        ] {
+            let mut fresh = ids(&fresh);
+            merge_sorted(&mut sorted, &mut fresh);
+            assert_eq!(sorted, ids(&expected));
+            assert!(fresh.is_empty());
+        }
     }
 
     #[test]

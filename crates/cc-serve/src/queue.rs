@@ -45,6 +45,10 @@ pub enum PushRejected {
     /// A drain is in effect and the arrival is at or after the drain
     /// instant. The producer should stop and [`IngestQueue::close`].
     Drained,
+    /// The arrival is earlier than the last accepted one (queued or
+    /// already delivered): delivering it would run the timeline backwards.
+    /// The arrival is dropped and counted; the producer may go on.
+    OutOfOrder,
 }
 
 /// Counters describing one queue's lifetime, for reports and tests.
@@ -56,6 +60,8 @@ pub struct QueueStats {
     pub delivered: u64,
     /// Queued arrivals discarded because a drain instant cut them off.
     pub dropped_at_drain: u64,
+    /// Arrivals refused as [`PushRejected::OutOfOrder`].
+    pub rejected_out_of_order: u64,
     /// High-water mark of the queue depth.
     pub peak_depth: usize,
     /// Current depth.
@@ -72,9 +78,15 @@ struct QueueState {
     /// `NotBefore`) up to this instant. A drain instant is always chosen
     /// strictly after it, so the cut never contradicts delivered work.
     paced_to: SimTime,
+    /// The latest accepted arrival a drain has not discarded: a push
+    /// earlier than it is out of order.
+    last_accepted: Option<SimTime>,
+    /// The latest arrival handed to the consumer.
+    last_delivered: Option<SimTime>,
     pushed: u64,
     delivered: u64,
     dropped_at_drain: u64,
+    rejected_out_of_order: u64,
     peak_depth: usize,
 }
 
@@ -104,9 +116,12 @@ impl IngestQueue {
                 horizon: None,
                 drain_at: None,
                 paced_to: SimTime::ZERO,
+                last_accepted: None,
+                last_delivered: None,
                 pushed: 0,
                 delivered: 0,
                 dropped_at_drain: 0,
+                rejected_out_of_order: 0,
                 peak_depth: 0,
             }),
             not_full: Condvar::new(),
@@ -116,7 +131,8 @@ impl IngestQueue {
 
     /// Enqueues an arrival, blocking while the queue is full
     /// (backpressure). Arrivals must be pushed in nondecreasing arrival
-    /// order — the queue debug-asserts it.
+    /// order: one earlier than the last accepted arrival is refused as
+    /// [`PushRejected::OutOfOrder`] and counted.
     pub fn push(&self, inv: Invocation) -> Result<(), PushRejected> {
         let mut state = self.state.lock().expect("queue lock");
         loop {
@@ -128,13 +144,12 @@ impl IngestQueue {
                     return Err(PushRejected::Drained);
                 }
             }
+            if state.last_accepted.is_some_and(|last| inv.arrival < last) {
+                state.rejected_out_of_order += 1;
+                return Err(PushRejected::OutOfOrder);
+            }
             if state.items.len() < self.capacity {
-                if let Some(back) = state.items.back() {
-                    debug_assert!(
-                        back.arrival <= inv.arrival,
-                        "arrivals must be pushed in order"
-                    );
-                }
+                state.last_accepted = Some(inv.arrival);
                 state.items.push_back(inv);
                 state.pushed += 1;
                 state.peak_depth = state.peak_depth.max(state.items.len());
@@ -211,6 +226,12 @@ impl IngestQueue {
                 break;
             }
         }
+        // Discarded arrivals no longer bound the order of later pushes.
+        state.last_accepted = state
+            .items
+            .back()
+            .map(|inv| inv.arrival)
+            .or(state.last_delivered);
         self.not_empty.notify_all();
         self.not_full.notify_all();
         eff
@@ -234,6 +255,7 @@ impl IngestQueue {
             pushed: state.pushed,
             delivered: state.delivered,
             dropped_at_drain: state.dropped_at_drain,
+            rejected_out_of_order: state.rejected_out_of_order,
             peak_depth: state.peak_depth,
             depth: state.items.len(),
         }
@@ -281,6 +303,7 @@ impl IngestQueue {
                 return if head <= target {
                     let inv = state.items.pop_front().expect("head checked above");
                     state.delivered += 1;
+                    state.last_delivered = Some(inv.arrival);
                     self.not_full.notify_all();
                     Fetch::Ready(inv)
                 } else {
@@ -399,6 +422,37 @@ mod tests {
         queue.close(SimDuration::from_mins(60));
         assert_eq!(queue.horizon(), Some(SimDuration::from_micros(200)));
         assert_eq!(queue.push(inv(199)), Err(PushRejected::Closed));
+    }
+
+    #[test]
+    fn an_earlier_arrival_after_the_queue_empties_is_out_of_order() {
+        let queue = IngestQueue::new(8);
+        let clock = VirtualClock::new();
+        queue.push(inv(100)).unwrap();
+        queue.push(inv(300)).unwrap();
+        assert_eq!(queue.fetch(&clock, None), Fetch::Ready(inv(100)));
+        assert_eq!(queue.fetch(&clock, None), Fetch::Ready(inv(300)));
+        assert_eq!(queue.stats().depth, 0);
+        assert_eq!(queue.push(inv(200)), Err(PushRejected::OutOfOrder));
+        let stats = queue.stats();
+        assert_eq!(stats.rejected_out_of_order, 1);
+        assert_eq!((stats.pushed, stats.depth), (2, 0));
+        // The stream goes on: equal and later arrivals are still in order.
+        assert_eq!(queue.push(inv(300)), Ok(()));
+        assert_eq!(queue.push(inv(301)), Ok(()));
+    }
+
+    #[test]
+    fn an_in_order_stream_rejects_nothing() {
+        let queue = IngestQueue::new(4);
+        let clock = VirtualClock::new();
+        for at in [10, 10, 20, 35, 35, 90] {
+            queue.push(inv(at)).unwrap();
+            assert_eq!(queue.fetch(&clock, None), Fetch::Ready(inv(at)));
+        }
+        let stats = queue.stats();
+        assert_eq!(stats.rejected_out_of_order, 0);
+        assert_eq!((stats.pushed, stats.delivered), (6, 6));
     }
 
     #[test]

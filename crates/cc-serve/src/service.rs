@@ -27,7 +27,7 @@ use cc_workload::Workload;
 
 use crate::clock::Clock;
 use crate::pace::PacedSource;
-use crate::queue::{IngestQueue, QueueStats};
+use crate::queue::{IngestQueue, PushRejected, QueueStats};
 
 /// Configuration for one [`Server`].
 #[derive(Debug, Clone)]
@@ -198,14 +198,66 @@ impl Drop for FeedGuard<'_> {
 fn feed<Src: ArrivalSource>(mut source: Src, queue: &IngestQueue) {
     let mut guard = FeedGuard { queue, done: false };
     while let Some(inv) = source.next_invocation() {
-        // A refused push means a drain (or close) cut the stream:
-        // everything at or after the cut is discarded by design.
-        if queue.push(inv).is_err() {
-            break;
+        match queue.push(inv) {
+            // An out-of-order arrival is dropped (and counted by the
+            // queue); the rest of the stream still flows.
+            Ok(()) | Err(PushRejected::OutOfOrder) => {}
+            // A drain (or close) cut the stream: everything at or after
+            // the cut is discarded by design.
+            Err(PushRejected::Drained | PushRejected::Closed) => break,
         }
     }
     // Natural end and drain both land here; close() min-merges the
     // source horizon with any drain cut, so the shorter wins.
     queue.close(source.horizon());
     guard.done = true;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::VirtualClock;
+    use cc_compress::CompressionModel;
+    use cc_sim::{FixedKeepAlive, NullSink, SliceSource};
+    use cc_trace::SyntheticTrace;
+    use cc_types::Invocation;
+    use cc_workload::{Catalog, Workload};
+
+    #[test]
+    fn an_out_of_order_arrival_is_skipped_and_the_stream_goes_on() {
+        let trace = SyntheticTrace::builder()
+            .functions(10)
+            .duration(SimDuration::from_mins(30))
+            .seed(7)
+            .build();
+        let workload = Workload::from_trace(
+            &trace,
+            &Catalog::paper_catalog(),
+            &CompressionModel::paper_default(),
+        );
+        // A copy of the first arrival, re-stamped just before it and
+        // injected after the second: earlier than an accepted arrival.
+        let mut invocations = trace.invocations().to_vec();
+        assert!(invocations.len() > 2 && invocations[0].arrival > SimTime::ZERO);
+        let first = invocations[0];
+        let late = Invocation::new(
+            first.function,
+            SimTime::from_micros(first.arrival.as_micros() - 1),
+        );
+        invocations.insert(2, late);
+
+        let server = Server::new(Arc::new(VirtualClock::new()), ServeOptions::default());
+        let outcome = server.serve(
+            &ClusterConfig::small(2, 2),
+            SliceSource::new(&invocations, trace.duration()),
+            &workload,
+            &mut FixedKeepAlive::ten_minutes(),
+            &mut NullSink,
+        );
+        let expected = trace.invocations().len() as u64;
+        assert_eq!(outcome.queue.rejected_out_of_order, 1);
+        assert_eq!(outcome.queue.pushed, expected);
+        assert_eq!(outcome.queue.delivered, expected);
+        assert_eq!(outcome.report.stats.invocations(), expected);
+    }
 }
